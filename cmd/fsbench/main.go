@@ -340,7 +340,7 @@ func runChaos(name string, seed int64, metrics bool, shards, replicas int) {
 				os.Exit(1)
 			}
 			fmt.Printf("Sharded tier: %d shards, consistent-hash routing, fenced standby per shard\n", res.Shards)
-			printChaos(&res.ChaosResult, metrics)
+			printChaos(&res.ChaosResult, metrics, nil)
 			fmt.Printf("divergence: %d stray bucket(s) after campaign, %d repaired (want 0 strays)\n\n",
 				res.Strays, res.Repaired)
 			continue
@@ -356,7 +356,7 @@ func runChaos(name string, seed int64, metrics bool, shards, replicas int) {
 			fmt.Fprintln(os.Stderr, "fsbench:", err)
 			os.Exit(1)
 		}
-		printChaos(res, metrics)
+		printChaos(res, metrics, nil)
 	}
 }
 
@@ -371,47 +371,20 @@ func runSplitBrain(camp faults.Campaign, seed int64, metrics bool) {
 		os.Exit(1)
 	}
 	fmt.Println("Split-brain rig: 3 control replicas, primary + fenced standby, quorum-gated takeover")
-	fmt.Printf("Chaos campaign %q (seed %d, %s, reliability on)\n\n", res.Campaign, res.Seed, res.Mode)
-	t := stats.NewTable("Operation", "Fault-free", "Under campaign", "Slowdown", "Result")
-	for _, op := range res.Ops {
-		status := "ok"
-		if !op.OK {
-			status = "FAILED: " + op.Err
+	printChaos(&res.ChaosResult, metrics, func() {
+		fmt.Printf("fencing: decree committed %s after the verdict; takeover MTTR %s (gated on the quorum)\n",
+			stats.Ms(res.FenceLatency), stats.Ms(res.MTTR))
+		writer := "EXACTLY ONE WRITER"
+		if !res.OneWriter() {
+			writer = "SPLIT BRAIN (audit failed)"
 		}
-		chaosLat := stats.Ms(op.Chaos)
-		slow := fmt.Sprintf("%.2fx", op.Degradation())
-		if !op.OK {
-			chaosLat, slow = "-", "-"
+		deposed := "old lease deposed for good after the heal"
+		if !res.OldDeposed {
+			deposed = "OLD LEASE RECOVERED (audit failed)"
 		}
-		t.Add(op.Label, stats.Ms(op.Baseline), chaosLat, slow, status)
-	}
-	fmt.Println(t)
-	fmt.Printf("goodput %d/%d ops byte-correct (%.0f%%); retries %d, giveups %d\n",
-		res.Completed, len(res.Ops), res.Goodput()*100, res.Retries, res.Giveups)
-	fmt.Printf("fencing: decree committed %s after the verdict; takeover MTTR %s (gated on the quorum)\n",
-		stats.Ms(res.FenceLatency), stats.Ms(res.MTTR))
-	writer := "EXACTLY ONE WRITER"
-	if !res.OneWriter() {
-		writer = "SPLIT BRAIN (audit failed)"
-	}
-	deposed := "old lease deposed for good after the heal"
-	if !res.OldDeposed {
-		deposed = "OLD LEASE RECOVERED (audit failed)"
-	}
-	fmt.Printf("audit: %s — old primary frozen with %d refused write(s); %s\n",
-		writer, res.Denials, deposed)
-	if len(res.Injected) > 0 {
-		fmt.Print("injected:")
-		for _, kv := range res.Injected {
-			fmt.Print(" ", kv)
-		}
-		fmt.Println()
-	}
-	fmt.Println()
-	if metrics {
-		fmt.Print(res.Metrics.String())
-		fmt.Println()
-	}
+		fmt.Printf("audit: %s — old primary frozen with %d refused write(s); %s\n",
+			writer, res.Denials, deposed)
+	})
 }
 
 // runCompaction is the log-compaction soak: many windows' worth of
@@ -458,53 +431,26 @@ func runConsensusChaos(name string, seed int64, metrics bool) {
 		os.Exit(1)
 	}
 	fmt.Printf("Consensus control plane: %d replicas (Paxos acceptors on rmem CAS), registry replicated through the log\n", res.Replicas)
-	fmt.Printf("Chaos campaign %q (seed %d, %s, reliability on)\n\n", res.Campaign, res.Seed, res.Mode)
-	t := stats.NewTable("Operation", "Fault-free", "Under campaign", "Slowdown", "Result")
-	for _, op := range res.Ops {
-		status := "ok"
-		if !op.OK {
-			status = "FAILED: " + op.Err
+	printChaos(&res.ChaosResult, metrics, func() {
+		fmt.Printf("control plane: leader %d → %d, %d re-election(s), election latency %s\n",
+			res.LeaderBefore, res.LeaderAfter, res.Elections, stats.Ms(res.ElectionLatency))
+		fmt.Printf("decrees: %d applied by every survivor; driver committed %d (%.0f decrees/sec under the campaign, %.0f fault-free, %d error(s))\n",
+			res.Decrees, res.DriverCommits, res.DecreesPerSec, res.SteadyPerSec, res.DriverErrors)
+		agree := "logs agree"
+		if !res.LogsAgree {
+			agree = "LOGS DIVERGED"
 		}
-		chaosLat := stats.Ms(op.Chaos)
-		slow := fmt.Sprintf("%.2fx", op.Degradation())
-		if !op.OK {
-			chaosLat, slow = "-", "-"
+		reg := "registry converged on survivors"
+		if !res.RegistryOK {
+			reg = "REGISTRY DID NOT CONVERGE"
 		}
-		t.Add(op.Label, stats.Ms(op.Baseline), chaosLat, slow, status)
-	}
-	fmt.Println(t)
-	fmt.Printf("goodput %d/%d ops byte-correct (%.0f%%); retries %d, giveups %d\n",
-		res.Completed, len(res.Ops), res.Goodput()*100, res.Retries, res.Giveups)
-	fmt.Printf("control plane: leader %d → %d, %d re-election(s), election latency %s\n",
-		res.LeaderBefore, res.LeaderAfter, res.Elections, stats.Ms(res.ElectionLatency))
-	fmt.Printf("decrees: %d applied by every survivor; driver committed %d (%.0f decrees/sec under the campaign, %.0f fault-free, %d error(s))\n",
-		res.Decrees, res.DriverCommits, res.DecreesPerSec, res.SteadyPerSec, res.DriverErrors)
-	agree := "logs agree"
-	if !res.LogsAgree {
-		agree = "LOGS DIVERGED"
-	}
-	reg := "registry converged on survivors"
-	if !res.RegistryOK {
-		reg = "REGISTRY DID NOT CONVERGE"
-	}
-	fmt.Printf("survivors: %s; %s\n", agree, reg)
-	fmt.Print("surviving control-plane CPU during window:")
-	for _, cat := range []string{"client", "rx", "reply", "control", "proc"} {
-		fmt.Printf(" %s %s", cat, stats.Ms(res.AcceptorCPU[cat]))
-	}
-	fmt.Println(" (agreement itself is one-sided; client/control/proc time is replica apply + lease work)")
-	if len(res.Injected) > 0 {
-		fmt.Print("injected:")
-		for _, kv := range res.Injected {
-			fmt.Print(" ", kv)
+		fmt.Printf("survivors: %s; %s\n", agree, reg)
+		fmt.Print("surviving control-plane CPU during window:")
+		for _, cat := range []string{"client", "rx", "reply", "control", "proc"} {
+			fmt.Printf(" %s %s", cat, stats.Ms(res.AcceptorCPU[cat]))
 		}
-		fmt.Println()
-	}
-	fmt.Println()
-	if metrics {
-		fmt.Print(res.Metrics.String())
-		fmt.Println()
-	}
+		fmt.Println(" (agreement itself is one-sided; client/control/proc time is replica apply + lease work)")
+	})
 }
 
 func describeCampaign(c faults.Campaign) string {
@@ -523,7 +469,10 @@ func describeCampaign(c faults.Campaign) string {
 	return s
 }
 
-func printChaos(res *dfs.ChaosResult, metrics bool) {
+// printChaos prints a chaos run's per-op table, goodput and failover
+// lines; details, when non-nil, prints the rig's own lines before the
+// fault tally and the metric snapshot.
+func printChaos(res *dfs.ChaosResult, metrics bool, details func()) {
 	fmt.Printf("Chaos campaign %q (seed %d, %s, reliability on)\n\n", res.Campaign, res.Seed, res.Mode)
 	t := stats.NewTable("Operation", "Fault-free", "Under campaign", "Slowdown", "Result")
 	for _, op := range res.Ops {
@@ -544,6 +493,9 @@ func printChaos(res *dfs.ChaosResult, metrics bool) {
 	if res.FailedOver {
 		fmt.Printf("failover: MTTR %s, availability %.2f%% of %s window; %d rebind step(s), %d op(s) replayed\n",
 			stats.Ms(res.MTTR), res.Availability()*100, stats.Ms(res.Window), res.Rebinds, res.Replays)
+	}
+	if details != nil {
+		details()
 	}
 	if len(res.Injected) > 0 {
 		fmt.Print("injected:")
@@ -615,7 +567,7 @@ func runReplicaChaos(camp faults.Campaign, seed int64, metrics bool, replicas in
 		os.Exit(1)
 	}
 	fmt.Printf("Replica rig: %d-member chain, token-cached clerk reading via the chain, promotion failover\n", res.Replicas)
-	printChaos(&res.ChaosResult, metrics)
+	printChaos(&res.ChaosResult, metrics, nil)
 	if res.FailedOver {
 		fmt.Printf("promotion: node %d at applied watermark %d (chain spread at crash: head %d, tail %d)\n",
 			res.PromotedNode, res.PromotedApplied, res.HeadApplied, res.TailApplied)

@@ -2,12 +2,12 @@ package atm
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"netmem/internal/des"
+	"netmem/internal/faults"
 	"netmem/internal/model"
 )
 
@@ -113,7 +113,7 @@ func TestDirectLinkDelivers(t *testing.T) {
 	p := &model.Default
 	a := NewInterface(env, p, 0)
 	b := NewInterface(env, p, 1)
-	DirectLink(env, p, a, b, nil)
+	DirectLink(env, p, a, b)
 
 	frame := []byte("hello over the wire")
 	var got []byte
@@ -159,7 +159,7 @@ func TestLinkSerializationBoundsThroughput(t *testing.T) {
 	p := &model.Default
 	a := NewInterface(env, p, 0)
 	b := NewInterface(env, p, 1)
-	DirectLink(env, p, a, b, nil)
+	DirectLink(env, p, a, b)
 
 	const n = 1000
 	var doneAt des.Time
@@ -188,8 +188,8 @@ func TestFaultInjectionDrops(t *testing.T) {
 	p := &model.Default
 	a := NewInterface(env, p, 0)
 	b := NewInterface(env, p, 1)
-	fault := &Fault{LossRate: 0.5, Rand: rand.New(rand.NewSource(42))}
-	ab, _ := DirectLink(env, p, a, b, fault)
+	eng := faults.NewEngine(env, faults.Campaign{Seed: 42, Default: faults.LinkFault{Loss: 0.5}})
+	ab, _ := DirectLinkEngine(env, p, a, b, eng)
 
 	const n = 500
 	env.Spawn("sender", func(pr *des.Proc) {
@@ -275,7 +275,7 @@ func TestSwitchAddsLatency(t *testing.T) {
 			sw.Attach(a)
 			sw.Attach(b)
 		} else {
-			DirectLink(env, p, a, b, nil)
+			DirectLink(env, p, a, b)
 		}
 		var at des.Time
 		env.Spawn("sender", func(pr *des.Proc) {

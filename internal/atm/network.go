@@ -2,7 +2,6 @@ package atm
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"netmem/internal/des"
@@ -32,34 +31,6 @@ func NewInterface(env *des.Env, p *model.Params, node int) *Interface {
 		TX:   des.NewFIFO[Cell](env, fmt.Sprintf("nic%d.tx", node), p.TxFIFOCells),
 		RX:   des.NewFIFO[Cell](env, fmt.Sprintf("nic%d.rx", node), p.RxFIFOCells),
 	}
-}
-
-// Fault configures loss injection on a link. Zero value = lossless.
-//
-// Deprecated: Fault is the pre-campaign loss knob and supports only uniform
-// cell loss; use a faults.Campaign (cluster.WithFaultEngine /
-// netmem.WithFaults) for anything richer. It remains supported so existing
-// callers keep working.
-type Fault struct {
-	LossRate float64 // probability a cell is dropped in flight
-
-	// Rand supplies the loss draws.
-	//
-	// Deprecated: leave nil. A caller-supplied generator is shared with
-	// non-simulated code and breaks run-for-run determinism; when nil the
-	// draws come from the environment-owned seeded stream (des.Env.Rand).
-	Rand *rand.Rand
-}
-
-func (f *Fault) drop(env *des.Env) bool {
-	if f == nil || f.LossRate <= 0 {
-		return false
-	}
-	r := f.Rand
-	if r == nil {
-		r = env.Rand()
-	}
-	return r.Float64() < f.LossRate
 }
 
 // applyVerdict runs one surviving-or-not cell through the engine's verdict
@@ -94,11 +65,10 @@ func applyVerdict(eng *faults.Engine, link string, held *Cell, c Cell, deliver f
 // serialization (bandwidth) and propagation delay. DirectLink wires two
 // interfaces back-to-back, the paper's switchless testbed topology.
 type Link struct {
-	env   *des.Env
-	p     *model.Params
-	fault *Fault
-	eng   *faults.Engine // nil = no campaign on this link
-	pump  *cellPump
+	env  *des.Env
+	p    *model.Params
+	eng  *faults.Engine // nil = no campaign on this link
+	pump *cellPump
 
 	// CellsCarried counts cells delivered, for utilisation accounting.
 	CellsCarried int64
@@ -129,8 +99,7 @@ type cellPump struct {
 	src   *des.FIFO[Cell]
 	delay des.Duration
 	eng   *faults.Engine
-	fault *Fault // deprecated uniform-loss knob (direct links only)
-	held  *Cell  // reorder state: one cell held back by the engine
+	held  *Cell // reorder state: one cell held back by the engine
 
 	route     func(Cell) *des.FIFO[Cell] // destination for a cell; nil = discard (already counted)
 	carried   func()                     // account one delivered cell
@@ -147,8 +116,8 @@ type cellPump struct {
 	stageFn                    func(Cell)
 }
 
-func newCellPump(env *des.Env, name string, src *des.FIFO[Cell], delay des.Duration, eng *faults.Engine, fault *Fault, route func(Cell) *des.FIFO[Cell]) *cellPump {
-	cp := &cellPump{env: env, name: name, src: src, delay: delay, eng: eng, fault: fault, route: route}
+func newCellPump(env *des.Env, name string, src *des.FIFO[Cell], delay des.Duration, eng *faults.Engine, route func(Cell) *des.FIFO[Cell]) *cellPump {
+	cp := &cellPump{env: env, name: name, src: src, delay: delay, eng: eng, route: route}
 	cp.wakeFn = cp.next
 	cp.deliverFn = cp.deliver
 	cp.spaceFn = cp.flush
@@ -175,11 +144,6 @@ func (cp *cellPump) next() {
 // deliver fires when the cell has finished its wire time: judge it, stage
 // the surviving copies, and flush them into the destination.
 func (cp *cellPump) deliver() {
-	if cp.fault.drop(cp.env) {
-		cp.droppedFn()
-		cp.next()
-		return
-	}
 	if cp.eng.PartitionDrop(cp.cur.VCI.Src(), cp.cur.VCI.Dst()) {
 		cp.droppedFn()
 		cp.next()
@@ -241,7 +205,7 @@ func (cp *cellPump) start() { cp.next() }
 func (l *Link) newPump(name string, src *des.FIFO[Cell], dst *des.FIFO[Cell], extra des.Duration) {
 	l.keyCells = "atm." + name + ".cells"
 	l.keyDropped = "atm." + name + ".dropped"
-	cp := newCellPump(l.env, name, src, l.p.CellWireTime()+extra, l.eng, l.fault,
+	cp := newCellPump(l.env, name, src, l.p.CellWireTime()+extra, l.eng,
 		func(Cell) *des.FIFO[Cell] { return dst })
 	cp.carried = func() {
 		l.CellsCarried++
@@ -267,20 +231,19 @@ func (l *Link) dropped() {
 	}
 }
 
-// DirectLink connects interfaces a and b with a full-duplex lossless link
-// (pass fault = nil) or a fault-injected one. It returns the two
-// unidirectional halves (a→b, b→a).
-func DirectLink(env *des.Env, p *model.Params, a, b *Interface, fault *Fault) (ab, ba *Link) {
-	return DirectLinkEngine(env, p, a, b, fault, nil)
+// DirectLink connects interfaces a and b with a full-duplex lossless link.
+// It returns the two unidirectional halves (a→b, b→a).
+func DirectLink(env *des.Env, p *model.Params, a, b *Interface) (ab, ba *Link) {
+	return DirectLinkEngine(env, p, a, b, nil)
 }
 
 // DirectLinkEngine is DirectLink with a fault-campaign engine attached to
 // both halves. Each half judges cells under its own link name
 // ("link<a>-><b>" and "link<b>-><a>"), so a campaign can fault one
 // direction only.
-func DirectLinkEngine(env *des.Env, p *model.Params, a, b *Interface, fault *Fault, eng *faults.Engine) (ab, ba *Link) {
-	ab = &Link{env: env, p: p, fault: fault, eng: eng}
-	ba = &Link{env: env, p: p, fault: fault, eng: eng}
+func DirectLinkEngine(env *des.Env, p *model.Params, a, b *Interface, eng *faults.Engine) (ab, ba *Link) {
+	ab = &Link{env: env, p: p, eng: eng}
+	ba = &Link{env: env, p: p, eng: eng}
 	ab.newPump(fmt.Sprintf("link%d->%d", a.Node, b.Node), a.TX, b.RX, p.PropagationDelay)
 	ba.newPump(fmt.Sprintf("link%d->%d", b.Node, a.Node), b.TX, a.RX, p.PropagationDelay)
 	return ab, ba
@@ -331,7 +294,7 @@ func (s *Switch) Attach(nic *Interface) {
 	// Input side: host→switch link (serialization) plus VCI routing.
 	inName := fmt.Sprintf("sw.in%d", nic.Node)
 	in := newCellPump(s.env, inName, nic.TX,
-		s.p.CellWireTime()+s.p.PropagationDelay+s.p.SwitchLatency, s.eng, nil,
+		s.p.CellWireTime()+s.p.PropagationDelay+s.p.SwitchLatency, s.eng,
 		func(c Cell) *des.FIFO[Cell] {
 			dst, ok := s.ports[c.VCI.Dst()]
 			if !ok {
@@ -350,7 +313,7 @@ func (s *Switch) Attach(nic *Interface) {
 	// Output side: switch→host link.
 	txName := fmt.Sprintf("sw.tx%d", nic.Node)
 	tx := newCellPump(s.env, txName, port.out,
-		s.p.CellWireTime()+s.p.PropagationDelay, s.eng, nil,
+		s.p.CellWireTime()+s.p.PropagationDelay, s.eng,
 		func(Cell) *des.FIFO[Cell] { return nic.RX })
 	tx.carried = func() {}
 	tx.droppedFn = func() {}

@@ -260,21 +260,12 @@ type Option func(*options)
 
 type options struct {
 	forceSwitch bool
-	fault       *atm.Fault
 	eng         *faults.Engine
 }
 
 // WithSwitch forces a switched topology even for two nodes (the paper's
 // testbed is switchless; larger clusters need the switch).
 func WithSwitch() Option { return func(o *options) { o.forceSwitch = true } }
-
-// WithFault injects cell loss on (direct) links, for failure experiments.
-//
-// Deprecated: use WithFaultEngine with a faults.Campaign, which is seeded,
-// richer (corruption, duplication, reordering, flaps, crashes), and works
-// on switched topologies too. WithFault remains for uniform loss on direct
-// links.
-func WithFault(f *atm.Fault) Option { return func(o *options) { o.fault = f } }
 
 // WithFaultEngine runs the cluster under a fault campaign: every link and
 // switch hop consults the engine per cell, and the campaign's crash
@@ -317,7 +308,7 @@ func New(env *des.Env, p *model.Params, n int, opts ...Option) *Cluster {
 	}
 	switch {
 	case n == 2 && !o.forceSwitch:
-		atm.DirectLinkEngine(env, p, c.Nodes[0].NIC, c.Nodes[1].NIC, o.fault, o.eng)
+		atm.DirectLinkEngine(env, p, c.Nodes[0].NIC, c.Nodes[1].NIC, o.eng)
 	default:
 		c.Switch = atm.NewSwitch(env, p)
 		c.Switch.SetEngine(o.eng)

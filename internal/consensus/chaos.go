@@ -5,15 +5,10 @@ import (
 	"fmt"
 	"time"
 
-	"netmem/internal/cluster"
 	"netmem/internal/des"
 	"netmem/internal/dfs"
 	"netmem/internal/faults"
-	"netmem/internal/fstore"
-	"netmem/internal/model"
 	"netmem/internal/nameserver"
-	"netmem/internal/obs"
-	"netmem/internal/rmem"
 )
 
 // Control-plane chaos harness: the Figure 2 operation mix runs on a data
@@ -38,20 +33,12 @@ type ChaosConfig struct {
 	Mode dfs.Mode
 }
 
-// ChaosResult is one full control-plane chaos run.
+// ChaosResult is one full control-plane chaos run: the data plane's
+// byte-verified Figure 2 mix in the embedded result, the control plane's
+// outcome beside it.
 type ChaosResult struct {
-	Campaign string
-	Seed     int64
-	Mode     dfs.Mode
+	dfs.ChaosResult
 
-	// Data plane: the Figure 2 mix, byte-verified.
-	Ops       []dfs.ChaosOpResult
-	Completed int
-	Replays   int64
-	Retries   int64
-	Giveups   int64
-
-	// Control plane.
 	Replicas        int
 	LeaderBefore    int           // lease holder entering the mix
 	LeaderAfter     int           // lease holder after the campaign
@@ -72,19 +59,6 @@ type ChaosResult struct {
 	// prepare/accept handling (see BenchmarkCASContention for the
 	// pure-agreement measurement).
 	AcceptorCPU map[string]time.Duration
-
-	Injected []string
-	Events   uint64
-	Window   time.Duration
-	Metrics  obs.Snapshot
-}
-
-// Goodput is the fraction of the mix that completed byte-correct.
-func (r *ChaosResult) Goodput() float64 {
-	if len(r.Ops) == 0 {
-		return 0
-	}
-	return float64(r.Completed) / float64(len(r.Ops))
 }
 
 // Rig geometry: control replicas on nodes 0..2, the file server on node
@@ -103,19 +77,14 @@ const driverPeriod = 250 * time.Microsecond
 // campaign — on identical topologies (control plane up and committing in
 // both legs, so the background traffic matches).
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
-	base, err := runChaosMix(nil, cfg.Seed, cfg.Mode)
+	base, leg, err := dfs.RunLegs("consensus: chaos", cfg.Campaign, func(camp *faults.Campaign) (*cpChaosLeg, error) {
+		return runChaosMix(camp, cfg.Seed, cfg.Mode)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("consensus: chaos baseline: %w", err)
-	}
-	leg, err := runChaosMix(&cfg.Campaign, cfg.Seed, cfg.Mode)
-	if err != nil {
-		return nil, fmt.Errorf("consensus: chaos run: %w", err)
+		return nil, err
 	}
 	res := &ChaosResult{
-		Campaign:        cfg.Campaign.Name,
-		Seed:            leg.eng.Seed(),
-		Mode:            cfg.Mode,
-		Replays:         leg.replays,
+		ChaosResult:     leg.Result(cfg.Campaign.Name, cfg.Mode, base.Leg),
 		Replicas:        chaosReplicas,
 		LeaderBefore:    leg.leaderBefore,
 		LeaderAfter:     leg.leaderAfter,
@@ -127,38 +96,20 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		LogsAgree:       leg.logsAgree,
 		RegistryOK:      leg.registryOK,
 		AcceptorCPU:     leg.acceptorCPU,
-		Injected:        leg.eng.Counts(),
-		Events:          leg.events,
-		Window:          leg.window,
-		Metrics:         leg.tr.Snapshot(),
 	}
-	res.Retries = res.Metrics.Counter("reliable.retries")
-	res.Giveups = res.Metrics.Counter("reliable.giveup")
 	if leg.driverWindow > 0 {
 		res.DecreesPerSec = float64(leg.commits) / leg.driverWindow.Seconds()
 	}
 	if base.driverWindow > 0 {
 		res.SteadyPerSec = float64(base.commits) / base.driverWindow.Seconds()
 	}
-	for i, op := range leg.ops {
-		op.Baseline = base.ops[i].Chaos
-		res.Ops = append(res.Ops, op)
-		if op.OK {
-			res.Completed++
-		}
-	}
 	return res, nil
 }
 
 // cpChaosLeg is one measured leg.
 type cpChaosLeg struct {
-	ops          []dfs.ChaosOpResult
-	tr           *obs.Tracer
-	eng          *faults.Engine
+	*dfs.Leg
 	cp           *ControlPlane
-	window       time.Duration
-	events       uint64
-	replays      int64
 	leaderBefore int
 	leaderAfter  int
 	commits      int
@@ -171,39 +122,17 @@ type cpChaosLeg struct {
 	auditErr     error
 }
 
-// cpChaosRig is the data plane under test plus the warm tree handles.
-type cpChaosRig struct {
-	srv   *dfs.Server
-	clerk *dfs.Clerk
-	file  fstore.Handle
-	dir   fstore.Handle
-	link  fstore.Handle
-}
+// replayAtOnce is the replay gate of a rig without data-plane failover: a
+// failed op lost its retry budget to link faults, so replay it straight
+// away.
+func replayAtOnce(*des.Proc, dfs.OpSpec) error { return nil }
 
 func runChaosMix(camp *faults.Campaign, seed int64, mode dfs.Mode) (*cpChaosLeg, error) {
-	env := des.NewEnv()
-	if seed != 0 {
-		env.Seed(seed)
-	}
-	tr := obs.New(obs.Config{})
-	env.SetTracer(tr)
-	var eng *faults.Engine
-	var clusterOpts []cluster.Option
-	if camp != nil {
-		eng = faults.NewEngine(env, *camp)
-		clusterOpts = append(clusterOpts, cluster.WithFaultEngine(eng))
-	}
-	cl := cluster.New(env, &model.Default, chaosNodes, clusterOpts...)
-	mgrs := make([]*rmem.Manager, chaosNodes)
-	for i := range mgrs {
-		mgrs[i] = rmem.NewManager(cl.Nodes[i])
-	}
-
-	leg := &cpChaosLeg{tr: tr, eng: eng}
-	rig := &cpChaosRig{}
+	leg := &cpChaosLeg{Leg: dfs.NewLeg(camp, seed, chaosNodes)}
+	mgrs, cl := leg.Mgrs, leg.Cluster
+	var plane *dfs.ServerPlane
 	var cli *Client
-	var setupErr error
-	env.Spawn("cpchaos.setup", func(p *des.Proc) {
+	err := leg.Setup("cpchaos.setup", 200*time.Millisecond, func(p *des.Proc) (err error) {
 		// The name-service clerks boot first: their well-known registry
 		// segments carry fixed generation numbers that assume they are each
 		// control node's first exports.
@@ -217,21 +146,19 @@ func runChaosMix(camp *faults.Campaign, seed int64, mode dfs.Mode) (*cpChaosLeg,
 		// the driver commits across the mix window.
 		g := NewGroup(p, Config{Acceptors: chaosReplicas, Proposers: chaosReplicas + 1, Slots: 1024}, mgrs[:chaosReplicas]...)
 		leg.cp = NewControlPlane(p, g, clerks)
-		if setupErr = leg.cp.Start(p); setupErr != nil {
-			return
+		if err := leg.cp.Start(p); err != nil {
+			return err
 		}
-		rig.srv = dfs.NewServer(p, mgrs[chaosServerNode], chaosNodes, dfs.Geometry{}, dfs.WithReliableReplies())
-		rig.clerk = dfs.NewClerk(p, mgrs[chaosClerkNode], rig.srv, mode, dfs.WithReliable())
-		if setupErr = warmCPRig(rig); setupErr != nil {
-			return
+		plane, err = dfs.NewServerPlane(p, mgrs[chaosServerNode], mgrs[chaosClerkNode], chaosNodes, mode,
+			dfs.CyclicPattern(16384), dfs.WithReliable())
+		if err != nil {
+			return err
 		}
 		cli = leg.cp.NewClient(p, mgrs[chaosClerkNode])
+		return nil
 	})
-	if err := env.RunUntil(des.Time(200 * time.Millisecond)); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if setupErr != nil {
-		return nil, setupErr
 	}
 
 	mixDone := false
@@ -240,10 +167,8 @@ func runChaosMix(camp *faults.Campaign, seed int64, mode dfs.Mode) (*cpChaosLeg,
 	// control-plane analogue of the mix's data traffic. It keeps proposing
 	// straight through the crash — commits after it prove the log lives on
 	// a majority of the original acceptors.
-	env.Spawn("cpchaos.driver", func(p *des.Proc) {
-		if at := des.Time(200 * time.Millisecond); p.Now() < at {
-			p.Sleep(time.Duration(at.Sub(p.Now())))
-		}
+	leg.Env.Spawn("cpchaos.driver", func(p *des.Proc) {
+		p.SleepUntil(des.Time(200 * time.Millisecond))
 		start := p.Now()
 		for i := 0; !mixDone; i++ {
 			name := fmt.Sprintf("cp.obj%04d", i)
@@ -262,37 +187,24 @@ func runChaosMix(camp *faults.Campaign, seed int64, mode dfs.Mode) (*cpChaosLeg,
 		leg.driverWindow = time.Duration(p.Now().Sub(start))
 	})
 
-	ops := make([]dfs.ChaosOpResult, len(dfs.Figure2Ops))
-	env.Spawn("cpchaos.mix", func(p *des.Proc) {
+	leg.Env.Spawn("cpchaos.mix", func(p *des.Proc) {
 		// Campaign crash schedules are keyed to virtual time; anchor the mix
 		// at t = 200ms so the crash lands inside the measured run.
-		if at := des.Time(200 * time.Millisecond); p.Now() < at {
-			p.Sleep(time.Duration(at.Sub(p.Now())))
-		}
+		p.SleepUntil(des.Time(200 * time.Millisecond))
 		leg.leaderBefore = leg.cp.Leader()
 		for i := 0; i < chaosReplicas; i++ {
 			cl.Nodes[i].ResetCPUAcct()
 		}
 		start := p.Now()
-		for i, spec := range dfs.Figure2Ops {
-			ops[i] = runVerifiedCPOp(p, rig, spec)
-			// No data-plane failover in this rig: a failed op lost its retry
-			// budget to link faults; replay a bounded number of times.
-			for tries := 0; !ops[i].OK && tries < 3; tries++ {
-				leg.replays++
-				ops[i] = runVerifiedCPOp(p, rig, spec)
-			}
-		}
+		leg.RunMix(p, plane.Mix, 0, replayAtOnce)
 		// The mix is quick; hold the window open past the crash so the
 		// re-election and the driver's post-crash commits are measured.
 		if camp != nil {
 			for _, c := range camp.Crashes {
-				if until := des.Time(c.At + 20*time.Millisecond); p.Now() < until {
-					p.Sleep(time.Duration(until.Sub(p.Now())))
-				}
+				p.SleepUntil(des.Time(c.At + 20*time.Millisecond))
 			}
 		}
-		leg.window = time.Duration(p.Now().Sub(start))
+		leg.Window = time.Duration(p.Now().Sub(start))
 		mixDone = true
 		// Settle, then audit the control plane (untimed): surviving replicas
 		// must agree byte-for-byte on the log prefix they have all applied,
@@ -312,14 +224,12 @@ func runChaosMix(camp *faults.Campaign, seed int64, mode dfs.Mode) (*cpChaosLeg,
 	})
 
 	// Heartbeat and watchdog daemons never idle; the horizon is finite.
-	if err := env.RunUntil(des.Time(3 * time.Second)); err != nil {
+	if err := leg.Env.RunUntil(des.Time(3 * time.Second)); err != nil {
 		return nil, err
 	}
 	if leg.auditErr != nil {
 		return nil, leg.auditErr
 	}
-	leg.ops = ops
-	leg.events = env.Events()
 	return leg, nil
 }
 
@@ -366,180 +276,4 @@ func (leg *cpChaosLeg) auditControlPlane(p *des.Proc, lastName string) {
 			leg.registryOK = false
 		}
 	}
-}
-
-// warmCPRig populates the store and warms the server cache exactly as the
-// single-server chaos rig does.
-func warmCPRig(r *cpChaosRig) error {
-	st := r.srv.Store
-	h, err := st.WriteFile("/export/data.bin", cpSeedPattern(16384))
-	if err != nil {
-		return err
-	}
-	r.file = h
-	for i := 0; i < 260; i++ {
-		if _, err := st.WriteFile(fmt.Sprintf("/export/pub/entry%03d", i), nil); err != nil {
-			return err
-		}
-	}
-	dir, _, err := st.ResolvePath("/export/pub")
-	if err != nil {
-		return err
-	}
-	r.dir = dir
-	exp, _, err := st.ResolvePath("/export")
-	if err != nil {
-		return err
-	}
-	lh, _, err := st.Symlink(exp, "current", "/export/data.bin")
-	if err != nil {
-		return err
-	}
-	r.link = lh
-	for _, wh := range []fstore.Handle{r.file, r.link} {
-		if err := r.srv.WarmFile(wh); err != nil {
-			return err
-		}
-	}
-	if err := r.srv.WarmDir(exp); err != nil {
-		return err
-	}
-	return r.srv.WarmDir(dir)
-}
-
-// runVerifiedCPOp executes one mix operation on the data plane and
-// verifies the result bytes against the store's ground truth.
-func runVerifiedCPOp(p *des.Proc, r *cpChaosRig, spec dfs.OpSpec) dfs.ChaosOpResult {
-	res := dfs.ChaosOpResult{Label: spec.Label}
-	c := r.clerk
-	st := r.srv.Store
-
-	fail := func(err error) dfs.ChaosOpResult {
-		res.Err = err.Error()
-		res.Chaos = 0
-		return res
-	}
-
-	// Writes establish DX block ownership with an untimed read; reads
-	// measure the network path, so flush first.
-	if spec.Op == dfs.OpWrite && c.Mode == dfs.DX {
-		blocks := (spec.Size + fstore.BlockSize - 1) / fstore.BlockSize
-		if _, err := c.Read(p, r.file, 0, blocks*fstore.BlockSize); err != nil {
-			return fail(fmt.Errorf("ownership read: %w", err))
-		}
-	} else {
-		c.FlushLocal()
-	}
-
-	start := p.Now()
-	switch spec.Op {
-	case dfs.OpGetAttr:
-		a, err := c.GetAttr(p, r.file)
-		if err != nil {
-			return fail(err)
-		}
-		want, err := st.GetAttr(r.file)
-		if err != nil {
-			return fail(err)
-		}
-		if a.Size != want.Size || a.Type != want.Type {
-			return fail(fmt.Errorf("attr mismatch: got size %d, want %d", a.Size, want.Size))
-		}
-	case dfs.OpLookup:
-		h, _, err := c.Lookup(p, r.dir, "entry007")
-		if err != nil {
-			return fail(err)
-		}
-		want, _, err := st.Lookup(r.dir, "entry007")
-		if err != nil {
-			return fail(err)
-		}
-		if h != want {
-			return fail(fmt.Errorf("lookup handle mismatch"))
-		}
-	case dfs.OpReadLink:
-		target, err := c.ReadLink(p, r.link)
-		if err != nil {
-			return fail(err)
-		}
-		if target != "/export/data.bin" {
-			return fail(fmt.Errorf("readlink returned %q", target))
-		}
-	case dfs.OpRead:
-		data, err := c.Read(p, r.file, 0, spec.Size)
-		if err != nil {
-			return fail(err)
-		}
-		want, err := st.Read(r.file, 0, spec.Size)
-		if err != nil {
-			return fail(err)
-		}
-		if !bytes.Equal(data, want) {
-			return fail(fmt.Errorf("read returned wrong bytes"))
-		}
-	case dfs.OpReadDir:
-		data, err := c.ReadDir(p, r.dir, 0, spec.Size)
-		if err != nil {
-			return fail(err)
-		}
-		ents, err := st.ReadDir(r.dir)
-		if err != nil {
-			return fail(err)
-		}
-		want := dfs.SerializeDir(ents)[:spec.Size]
-		if !bytes.Equal(data, want) {
-			return fail(fmt.Errorf("readdir returned wrong bytes"))
-		}
-	case dfs.OpWrite:
-		payload := cpWritePattern(spec.Size)
-		before := r.srv.DataDeposits()
-		if err := c.Write(p, r.file, 0, payload); err != nil {
-			return fail(err)
-		}
-		if c.Mode == dfs.DX {
-			deadline := p.Now().Add(c.EffectiveCallTimeout())
-			for r.srv.DataDeposits() == before {
-				if p.Now() > deadline {
-					return fail(fmt.Errorf("write deposit not observed"))
-				}
-				p.Sleep(2 * time.Microsecond)
-			}
-		}
-		res.Chaos = time.Duration(p.Now().Sub(start))
-		// Verification (untimed): apply write-behind state and read the
-		// store back.
-		if _, err := r.srv.Sync(p); err != nil {
-			return fail(err)
-		}
-		got, err := st.Read(r.file, 0, spec.Size)
-		if err != nil {
-			return fail(err)
-		}
-		if !bytes.Equal(got, payload) {
-			return fail(fmt.Errorf("written bytes did not reach the store intact"))
-		}
-		res.OK = true
-		return res
-	}
-	res.Chaos = time.Duration(p.Now().Sub(start))
-	res.OK = true
-	return res
-}
-
-// cpSeedPattern fills the warm file; cpWritePattern is the write payload,
-// distinguishable from the seed so a lost write cannot be masked.
-func cpSeedPattern(n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(i % 251)
-	}
-	return b
-}
-
-func cpWritePattern(n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(i*7 + 129)
-	}
-	return b
 }

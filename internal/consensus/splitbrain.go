@@ -1,15 +1,11 @@
 package consensus
 
 import (
-	"fmt"
 	"time"
 
-	"netmem/internal/cluster"
 	"netmem/internal/des"
 	"netmem/internal/dfs"
 	"netmem/internal/faults"
-	"netmem/internal/model"
-	"netmem/internal/obs"
 	"netmem/internal/recovery"
 	"netmem/internal/rmem"
 )
@@ -38,22 +34,15 @@ type SplitBrainConfig struct {
 	Mode dfs.Mode
 }
 
-// SplitBrainResult is one full split-brain run.
+// SplitBrainResult is one full split-brain run: the data plane's
+// byte-verified Figure 2 mix in the embedded result (its MTTR runs from
+// last-known-alive to takeover complete), the fencing path and the
+// one-writer audit beside it.
 type SplitBrainResult struct {
-	Campaign string
-	Seed     int64
-	Mode     dfs.Mode
-
-	// Data plane: the Figure 2 mix, byte-verified against the store.
-	Ops       []dfs.ChaosOpResult
-	Completed int
-	Replays   int64
-	Retries   int64
-	Giveups   int64
+	dfs.ChaosResult
 
 	// The fencing path.
 	FenceLatency time.Duration // watchdog verdict → fence decree committed
-	MTTR         time.Duration // last-known-alive → takeover complete
 	Aborted      bool          // fence decree failed; failover never ran
 
 	// The one-writer audit.
@@ -61,19 +50,6 @@ type SplitBrainResult struct {
 	OldSyncFrozen bool  // old primary applied nothing after the partition
 	OldDeposed    bool  // old lease permanently lost after the heal
 	NewWriterOK   bool  // promoted standby wrote unimpeded
-
-	Injected []string
-	Events   uint64
-	Window   time.Duration
-	Metrics  obs.Snapshot
-}
-
-// Goodput is the fraction of the mix that completed byte-correct.
-func (r *SplitBrainResult) Goodput() float64 {
-	if len(r.Ops) == 0 {
-		return 0
-	}
-	return float64(r.Completed) / float64(len(r.Ops))
 }
 
 // OneWriter reports the headline property: the old primary stopped
@@ -105,52 +81,29 @@ const (
 // the campaign — on identical topologies (lease daemons and mirror
 // traffic run in both legs).
 func RunSplitBrain(cfg SplitBrainConfig) (*SplitBrainResult, error) {
-	base, err := runSplitBrainMix(nil, cfg.Seed, cfg.Mode)
+	base, leg, err := dfs.RunLegs("consensus: splitbrain", cfg.Campaign, func(camp *faults.Campaign) (*sbLeg, error) {
+		return runSplitBrainMix(camp, cfg.Seed, cfg.Mode)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("consensus: splitbrain baseline: %w", err)
-	}
-	leg, err := runSplitBrainMix(&cfg.Campaign, cfg.Seed, cfg.Mode)
-	if err != nil {
-		return nil, fmt.Errorf("consensus: splitbrain run: %w", err)
+		return nil, err
 	}
 	res := &SplitBrainResult{
-		Campaign:      cfg.Campaign.Name,
-		Seed:          leg.eng.Seed(),
-		Mode:          cfg.Mode,
-		Replays:       leg.replays,
+		ChaosResult:   leg.Result(cfg.Campaign.Name, cfg.Mode, base.Leg),
 		FenceLatency:  time.Duration(leg.rec.FenceLatency()),
-		MTTR:          time.Duration(leg.rec.MTTR()),
 		Aborted:       leg.rec.Aborted(),
 		Denials:       leg.denials,
 		OldSyncFrozen: leg.oldSyncFrozen,
 		OldDeposed:    leg.oldDeposed,
 		NewWriterOK:   leg.newWriterOK,
-		Injected:      leg.eng.Counts(),
-		Events:        leg.events,
-		Window:        leg.window,
-		Metrics:       leg.tr.Snapshot(),
 	}
-	res.Retries = res.Metrics.Counter("reliable.retries")
-	res.Giveups = res.Metrics.Counter("reliable.giveup")
-	for i, op := range leg.ops {
-		op.Baseline = base.ops[i].Chaos
-		res.Ops = append(res.Ops, op)
-		if op.OK {
-			res.Completed++
-		}
-	}
+	res.MTTR = time.Duration(leg.rec.MTTR())
 	return res, nil
 }
 
 // sbLeg is one measured leg.
 type sbLeg struct {
-	ops     []dfs.ChaosOpResult
-	tr      *obs.Tracer
-	eng     *faults.Engine
-	rec     *recovery.Coordinator
-	window  time.Duration
-	events  uint64
-	replays int64
+	*dfs.Leg
+	rec *recovery.Coordinator
 
 	denials       int64
 	oldSyncFrozen bool
@@ -159,59 +112,40 @@ type sbLeg struct {
 }
 
 func runSplitBrainMix(camp *faults.Campaign, seed int64, mode dfs.Mode) (*sbLeg, error) {
-	env := des.NewEnv()
-	if seed != 0 {
-		env.Seed(seed)
-	}
-	tr := obs.New(obs.Config{})
-	env.SetTracer(tr)
-	var eng *faults.Engine
-	var clusterOpts []cluster.Option
-	if camp != nil {
-		eng = faults.NewEngine(env, *camp)
-		clusterOpts = append(clusterOpts, cluster.WithFaultEngine(eng))
-	}
-	cl := cluster.New(env, &model.Default, sbNodes, clusterOpts...)
-	mgrs := make([]*rmem.Manager, sbNodes)
-	for i := range mgrs {
-		mgrs[i] = rmem.NewManager(cl.Nodes[i])
-	}
-
-	leg := &sbLeg{tr: tr, eng: eng}
-	rig := &cpChaosRig{}
+	leg := &sbLeg{Leg: dfs.NewLeg(camp, seed, sbNodes)}
+	mgrs := leg.Mgrs
 	var (
+		plane    *dfs.ServerPlane
 		oldSrv   *dfs.Server
 		oldLease *WriteLease
-		setupErr error
 	)
-	env.Spawn("splitbrain.setup", func(p *des.Proc) {
+	err := leg.Setup("splitbrain.setup", 200*time.Millisecond, func(p *des.Proc) (err error) {
 		g := NewGroup(p, Config{Acceptors: sbReplicas, Proposers: sbReplicas + 1, Slots: 1024},
 			mgrs[:sbReplicas]...)
 		cp := NewControlPlane(p, g, nil)
 		cp.EnableFenceTable(p, sbNodes)
-		if setupErr = cp.Start(p); setupErr != nil {
-			return
+		if err := cp.Start(p); err != nil {
+			return err
 		}
 
-		rig.srv = dfs.NewServer(p, mgrs[sbPrimaryNode], sbNodes, dfs.Geometry{}, dfs.WithReliableReplies())
-		rig.clerk = dfs.NewClerk(p, mgrs[sbClerkNode], rig.srv, mode, dfs.WithReliable(), dfs.WithFencing())
-		if setupErr = warmCPRig(rig); setupErr != nil {
-			return
+		plane, err = dfs.NewServerPlane(p, mgrs[sbPrimaryNode], mgrs[sbClerkNode], sbNodes, mode,
+			dfs.CyclicPattern(16384), dfs.WithReliable(), dfs.WithFencing())
+		if err != nil {
+			return err
 		}
-		oldSrv = rig.srv
+		oldSrv = plane.Srv
 
 		// The primary's write lease: every mutation checks it, and it
 		// only stays valid while a quorum of fence tables keeps agreeing
 		// the primary is unfenced.
-		oldLease, setupErr = NewWriteLease(p, mgrs[sbPrimaryNode], sbPrimaryNode, cp, sbLeaseTTL, sbLeaseRefresh)
-		if setupErr != nil {
-			return
+		if oldLease, err = NewWriteLease(p, mgrs[sbPrimaryNode], sbPrimaryNode, cp, sbLeaseTTL, sbLeaseRefresh); err != nil {
+			return err
 		}
-		rig.srv.SetWriteGuard(oldLease)
+		oldSrv.SetWriteGuard(oldLease)
 
 		// The old primary keeps draining write-behind state on its own
 		// cadence — the exact daemon that must go quiet once fenced.
-		env.SpawnDaemon("splitbrain.oldsync", func(sp *des.Proc) {
+		leg.Env.SpawnDaemon("splitbrain.oldsync", func(sp *des.Proc) {
 			for {
 				sp.Sleep(des.Duration(2 * sbLeaseRefresh))
 				if _, err := oldSrv.Sync(sp); err != nil {
@@ -221,41 +155,24 @@ func runSplitBrainMix(camp *faults.Campaign, seed int64, mode dfs.Mode) (*sbLeg,
 		})
 
 		// Hot standby + heartbeat + gated coordinator on the clerk's node.
-		standby := dfs.NewStandby(p, mgrs[sbStandbyNode], rig.srv.Geo)
-		rig.srv.AttachStandby(p, standby, 100*time.Microsecond)
-		hb := mgrs[sbPrimaryNode].Export(p, 8)
-		hb.SetDefaultRights(rmem.RightRead)
-		rmem.StartHeartbeat(mgrs[sbPrimaryNode], hb, 0, 100*time.Microsecond)
-		hbImp := mgrs[sbClerkNode].Import(p, sbPrimaryNode, hb.ID(), hb.Gen(), 8)
-
-		leg.rec = recovery.New(mgrs[sbClerkNode], sbPrimaryNode, recovery.Config{FenceWait: sbLeaseTTL})
+		// The successor is guarded too: it holds its own lease, granted
+		// under the post-fence epoch.
+		var hb *rmem.Import
+		leg.rec, hb = plane.ArmFailover(p, mgrs[sbStandbyNode], sbNodes, recovery.Config{FenceWait: sbLeaseTTL},
+			func(fp *des.Proc, srv *dfs.Server) error {
+				lease, err := NewWriteLease(fp, mgrs[sbStandbyNode], sbStandbyNode, cp, sbLeaseTTL, sbLeaseRefresh)
+				if err != nil {
+					return err
+				}
+				srv.SetWriteGuard(lease)
+				return nil
+			})
 		leg.rec.ReplicateVerdicts(cp.NewClient(p, mgrs[sbClerkNode]))
-		leg.rec.OnFailover("standby.takeover", func(fp *des.Proc) error {
-			srv, err := standby.TakeOver(fp, rig.srv.Store, sbNodes, dfs.WithReliableReplies())
-			if err != nil {
-				return err
-			}
-			// The successor is guarded too: it holds its own lease,
-			// granted under the post-fence epoch.
-			lease, err := NewWriteLease(fp, mgrs[sbStandbyNode], sbStandbyNode, cp, sbLeaseTTL, sbLeaseRefresh)
-			if err != nil {
-				return err
-			}
-			srv.SetWriteGuard(lease)
-			rig.srv = srv
-			return nil
-		})
-		leg.rec.OnFailover("clerk.rebind", func(fp *des.Proc) error {
-			rig.clerk.Rebind(fp, rig.srv)
-			return nil
-		})
-		leg.rec.Watch(hbImp, 0)
+		leg.rec.Watch(hb, 0)
+		return nil
 	})
-	if err := env.RunUntil(des.Time(200 * time.Millisecond)); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if setupErr != nil {
-		return nil, setupErr
 	}
 
 	// Freeze the old primary's Sync counter at the moment the partition
@@ -263,63 +180,40 @@ func runSplitBrainMix(camp *faults.Campaign, seed int64, mode dfs.Mode) (*sbLeg,
 	var syncedAtCut int64 = -1
 	if camp != nil && len(camp.Partitions) > 0 {
 		cut := des.Time(camp.Partitions[0].From)
-		env.Spawn("splitbrain.mark", func(p *des.Proc) {
-			if p.Now() < cut {
-				p.Sleep(time.Duration(cut.Sub(p.Now())))
-			}
+		leg.Env.Spawn("splitbrain.mark", func(p *des.Proc) {
+			p.SleepUntil(cut)
 			syncedAtCut = oldSrv.Synced
 		})
 	}
 
-	ops := make([]dfs.ChaosOpResult, len(dfs.Figure2Ops))
-	env.Spawn("splitbrain.mix", func(p *des.Proc) {
+	leg.Env.Spawn("splitbrain.mix", func(p *des.Proc) {
 		// Anchor at t = 200ms so the partition window lands inside the
 		// measured run.
-		if at := des.Time(200 * time.Millisecond); p.Now() < at {
-			p.Sleep(time.Duration(at.Sub(p.Now())))
-		}
-		start := p.Now()
-		for i, spec := range dfs.Figure2Ops {
-			// Pace the mix so it straddles the partition window: the front
-			// half lands on the healthy primary, the back half dies against
-			// the partitioned one and must replay on the fenced successor.
-			if at := start.Add(time.Duration(i) * 300 * time.Microsecond); p.Now() < at {
-				p.Sleep(time.Duration(at.Sub(p.Now())))
-			}
-			ops[i] = runVerifiedCPOp(p, rig, spec)
-			// A failed op died against the partitioned primary; park until
-			// the quorum-fenced takeover completes, then replay.
-			for tries := 0; !ops[i].OK && tries < 3; tries++ {
-				if err := leg.rec.AwaitRestored(p, time.Second); err != nil {
-					break
-				}
-				leg.replays++
-				ops[i] = runVerifiedCPOp(p, rig, spec)
-			}
-		}
-		leg.window = time.Duration(p.Now().Sub(start))
+		p.SleepUntil(des.Time(200 * time.Millisecond))
+		// Pace the mix so it straddles the partition window: the front
+		// half lands on the healthy primary, the back half dies against
+		// the partitioned one and must replay — after the quorum-fenced
+		// takeover completes — on the fenced successor.
+		leg.RunMix(p, plane.Mix, 300*time.Microsecond, func(p *des.Proc, _ dfs.OpSpec) error {
+			return leg.rec.AwaitRestored(p, time.Second)
+		})
 
 		// The audit needs the heal: the old primary must observe that it
 		// was fenced *and* repaired behind its back, and stay deposed.
 		if camp != nil && len(camp.Partitions) > 0 && camp.Partitions[0].HealAt > 0 {
-			heal := des.Time(camp.Partitions[0].HealAt + 5*time.Millisecond)
-			if p.Now() < heal {
-				p.Sleep(time.Duration(heal.Sub(p.Now())))
-			}
+			p.SleepUntil(des.Time(camp.Partitions[0].HealAt + 5*time.Millisecond))
 		}
 		if camp != nil {
 			leg.denials = oldSrv.GuardDenials
 			leg.oldSyncFrozen = syncedAtCut >= 0 && oldSrv.Synced == syncedAtCut
 			leg.oldDeposed = oldLease.Deposed()
-			leg.newWriterOK = rig.srv != oldSrv && rig.srv.GuardDenials == 0
+			leg.newWriterOK = plane.Srv != oldSrv && plane.Srv.GuardDenials == 0
 		}
 	})
 
 	// Lease, heartbeat, and watchdog daemons never idle; finite horizon.
-	if err := env.RunUntil(des.Time(3 * time.Second)); err != nil {
+	if err := leg.Env.RunUntil(des.Time(3 * time.Second)); err != nil {
 		return nil, err
 	}
-	leg.ops = ops
-	leg.events = env.Events()
 	return leg, nil
 }

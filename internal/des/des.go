@@ -364,6 +364,14 @@ func (p *Proc) Sleep(d Duration) {
 	p.block()
 }
 
+// SleepUntil blocks the process until virtual time t; it returns at once
+// when t has already passed.
+func (p *Proc) SleepUntil(t Time) {
+	if now := p.Now(); now < t {
+		p.Sleep(t.Sub(now))
+	}
+}
+
 // Run executes events until the queue is empty or Halt is called. Processes
 // blocked on never-signalled conditions are reported as a deadlock error if
 // any remain when the queue drains.

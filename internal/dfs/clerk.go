@@ -216,8 +216,8 @@ func (c *Clerk) callTimeout() time.Duration {
 	return time.Duration(pp.RetryLimit+1) * pp.RetryBackoffMax
 }
 
-// EffectiveCallTimeout is the bound callTimeout derives (external harnesses
-// poll deposit counters against the same deadline the clerk itself uses).
+// EffectiveCallTimeout is the bound callTimeout derives (the verified mix
+// polls deposit counters against the same deadline the clerk itself uses).
 func (c *Clerk) EffectiveCallTimeout() time.Duration { return c.callTimeout() }
 
 // FlushLocal drops the clerk's client-side caches (between experiment

@@ -9,7 +9,6 @@ import (
 	"netmem/internal/fstore"
 	"netmem/internal/model"
 	"netmem/internal/obs"
-	"netmem/internal/recovery"
 	"netmem/internal/rmem"
 )
 
@@ -69,15 +68,7 @@ type experimentRig struct {
 	cl    *cluster.Cluster
 	srv   *Server
 	clerk *Clerk
-
-	file fstore.Handle // 16K warm file
-	dir  fstore.Handle // warm directory with ≥4K of serialized entries
-	link fstore.Handle // warm symlink
-
-	// Failover extras (chaos rigs with crash campaigns only).
-	standby *Standby
-	rec     *recovery.Coordinator
-	replays int64 // ops replayed against the new incarnation
+	tree  WarmTree
 }
 
 func newExperimentRigP(mode Mode, params *model.Params) (*experimentRig, error) {
@@ -97,55 +88,7 @@ func newExperimentRigObs(mode Mode, params *model.Params, tr *obs.Tracer) (*expe
 	env.Spawn("setup", func(p *des.Proc) {
 		r.srv = NewServer(p, ms, 2, Geometry{})
 		r.clerk = NewClerk(p, mc, r.srv, mode)
-		st := r.srv.Store
-
-		h, err := st.WriteFile("/export/data.bin", patterned(16384))
-		if err != nil {
-			setupErr = err
-			return
-		}
-		r.file = h
-		// A directory big enough that ReadDirectory(4K) is meaningful:
-		// ~250 entries × ~17 bytes ≈ 4.3 KB of stream.
-		for i := 0; i < 260; i++ {
-			if _, err := st.WriteFile(fmt.Sprintf("/export/pub/entry%03d", i), nil); err != nil {
-				setupErr = err
-				return
-			}
-		}
-		dir, _, err := st.ResolvePath("/export/pub")
-		if err != nil {
-			setupErr = err
-			return
-		}
-		r.dir = dir
-		exp, _, err := st.ResolvePath("/export")
-		if err != nil {
-			setupErr = err
-			return
-		}
-		lh, _, err := st.Symlink(exp, "current", "/export/data.bin")
-		if err != nil {
-			setupErr = err
-			return
-		}
-		r.link = lh
-
-		// Warm everything: 100% server cache hit rate.
-		for _, h := range []fstore.Handle{r.file, r.link} {
-			if err := r.srv.WarmFile(h); err != nil {
-				setupErr = err
-				return
-			}
-		}
-		if err := r.srv.WarmDir(exp); err != nil {
-			setupErr = err
-			return
-		}
-		if err := r.srv.WarmDir(dir); err != nil {
-			setupErr = err
-			return
-		}
+		r.tree, setupErr = BuildWarmTree(r.srv.Store, r.srv, patterned(16384))
 	})
 	if err := env.RunUntil(des.Time(200 * time.Millisecond)); err != nil {
 		return nil, err
@@ -156,36 +99,28 @@ func newExperimentRigObs(mode Mode, params *model.Params, tr *obs.Tracer) (*expe
 	return r, nil
 }
 
-func patterned(n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(i * 31)
-	}
-	return b
-}
-
 // runOp executes one operation through the clerk and returns the client
 // latency. For DX writes — fire-and-forget remote writes — latency runs
 // until the data has been deposited in the server's memory, which is the
 // cost Figure 2 attributes to the data transfer primitive.
 func (r *experimentRig) runOp(p *des.Proc, spec OpSpec) (time.Duration, error) {
-	c := r.clerk
+	c, t := r.clerk, r.tree
 	start := p.Now()
 	switch spec.Op {
 	case OpGetAttr:
-		if _, err := c.GetAttr(p, r.file); err != nil {
+		if _, err := c.GetAttr(p, t.File); err != nil {
 			return 0, err
 		}
 	case OpLookup:
-		if _, _, err := c.Lookup(p, r.dir, "entry007"); err != nil {
+		if _, _, err := c.Lookup(p, t.Dir, "entry007"); err != nil {
 			return 0, err
 		}
 	case OpReadLink:
-		if _, err := c.ReadLink(p, r.link); err != nil {
+		if _, err := c.ReadLink(p, t.Link); err != nil {
 			return 0, err
 		}
 	case OpRead:
-		data, err := c.Read(p, r.file, 0, spec.Size)
+		data, err := c.Read(p, t.File, 0, spec.Size)
 		if err != nil {
 			return 0, err
 		}
@@ -193,7 +128,7 @@ func (r *experimentRig) runOp(p *des.Proc, spec OpSpec) (time.Duration, error) {
 			return 0, fmt.Errorf("read %d of %d bytes", len(data), spec.Size)
 		}
 	case OpReadDir:
-		data, err := c.ReadDir(p, r.dir, 0, spec.Size)
+		data, err := c.ReadDir(p, t.Dir, 0, spec.Size)
 		if err != nil {
 			return 0, err
 		}
@@ -202,7 +137,7 @@ func (r *experimentRig) runOp(p *des.Proc, spec OpSpec) (time.Duration, error) {
 		}
 	case OpWrite:
 		before := r.srv.data.RemoteWrites
-		if err := c.Write(p, r.file, 0, patterned(spec.Size)); err != nil {
+		if err := c.Write(p, t.File, 0, patterned(spec.Size)); err != nil {
 			return 0, err
 		}
 		if c.Mode == DX {
@@ -264,7 +199,7 @@ func measureOpObs(spec OpSpec, mode Mode, params *model.Params, tr *obs.Tracer) 
 		// regardless (writes always push; reads were flushed).
 		if spec.Op == OpWrite && mode == DX {
 			blocks := (spec.Size + fstore.BlockSize - 1) / fstore.BlockSize
-			if _, err := r.clerk.Read(p, r.file, 0, blocks*fstore.BlockSize); err != nil {
+			if _, err := r.clerk.Read(p, r.tree.File, 0, blocks*fstore.BlockSize); err != nil {
 				runErr = err
 				return
 			}

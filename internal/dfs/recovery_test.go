@@ -85,7 +85,7 @@ func TestServerReincarnationWithFreshSegments(t *testing.T) {
 		}
 
 		// New incarnation over the same store; fresh clerk wiring.
-		srv2 := NewServerWithStore(p, serverManager(r), 2, Geometry{}, st)
+		srv2 := NewServer(p, serverManager(r), 2, Geometry{}, WithStore(st))
 		if err := srv2.WarmFile(h); err != nil {
 			t.Fatal(err)
 		}

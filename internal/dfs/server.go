@@ -66,25 +66,6 @@ func NewServer(p *des.Proc, m *rmem.Manager, nodes int, geo Geometry, opts ...Se
 	if store == nil {
 		store = fstore.New(func() int64 { return int64(m.Node.Env.Now()) })
 	}
-	s := newServer(p, m, nodes, geo, store)
-	if o.reliable {
-		s.reliable = true
-		s.hsrv.SetReliable(true)
-	}
-	return s
-}
-
-// NewServerWithStore is NewServer with the WithStore option — after a
-// crash, a new server incarnation re-exports fresh cache segments (new
-// descriptor ids and generations) over the surviving file system. Clerks
-// holding old descriptors fail with stale/revoked errors and re-wire.
-//
-// Deprecated: use NewServer with WithStore.
-func NewServerWithStore(p *des.Proc, m *rmem.Manager, nodes int, geo Geometry, store *fstore.Store) *Server {
-	return newServer(p, m, nodes, geo, store)
-}
-
-func newServer(p *des.Proc, m *rmem.Manager, nodes int, geo Geometry, store *fstore.Store) *Server {
 	geo.fill()
 	s := &Server{
 		m:        m,
@@ -104,6 +85,10 @@ func newServer(p *des.Proc, m *rmem.Manager, nodes int, geo Geometry, store *fst
 	s.dir = export(geo.DirBuckets * dirStride)
 	s.token = export(geo.DataBuckets * tokenStride)
 	s.hsrv = hybrid.NewServer(p, m, nodes, reqSlotCap, s.serve)
+	if o.reliable {
+		s.reliable = true
+		s.hsrv.SetReliable(true)
+	}
 	return s
 }
 
@@ -133,6 +118,9 @@ func (s *Server) Node() *cluster.Node { return s.m.Node }
 // harness observes that a clerk's DX write deposit arrived without asking
 // the server process anything.
 func (s *Server) DataDeposits() int64 { return s.data.RemoteWrites }
+
+// Deposits is DataDeposits: a lone server owns every handle h.
+func (s *Server) Deposits(fstore.Handle) int64 { return s.DataDeposits() }
 
 // Epoch returns the server's incarnation epoch — the lease value fenced
 // clerks (WithFencing) stamp on every descriptor. A restarted server has a

@@ -11,9 +11,7 @@
 // one campaign seed, and every time-triggered fault (flap windows, crash
 // schedules) is keyed to virtual time — so two runs with the same seed and
 // the same workload inject byte-identical fault sequences, and a failure
-// seen once can be replayed forever. This replaces the ad-hoc atm.Fault,
-// whose caller-supplied math/rand generator undermined exactly that
-// property.
+// seen once can be replayed forever.
 //
 // The engine is passive: it renders verdicts (Judge) when the network
 // layer asks, and fires crash callbacks the cluster layer registers

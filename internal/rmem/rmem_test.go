@@ -7,9 +7,9 @@ import (
 	"testing/quick"
 	"time"
 
-	"netmem/internal/atm"
 	"netmem/internal/cluster"
 	"netmem/internal/des"
+	"netmem/internal/faults"
 	"netmem/internal/model"
 )
 
@@ -266,8 +266,10 @@ func TestReadAsyncProceedsBeforeReply(t *testing.T) {
 }
 
 func TestReadTimeoutOnLossyLink(t *testing.T) {
-	fault := &atm.Fault{LossRate: 1.0, Rand: rand.New(rand.NewSource(1))}
-	env, _, m0, m1 := testPair(t, cluster.WithFault(fault))
+	env := des.NewEnv()
+	eng := faults.NewEngine(env, faults.Campaign{Default: faults.LinkFault{Loss: 1.0}})
+	c := cluster.New(env, &model.Default, 2, cluster.WithFaultEngine(eng))
+	m0, m1 := NewManager(c.Nodes[0]), NewManager(c.Nodes[1])
 	run(t, env, func(p *des.Proc) {
 		src := m1.Export(p, 64)
 		src.SetDefaultRights(RightRead)

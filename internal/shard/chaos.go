@@ -1,18 +1,13 @@
 package shard
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"time"
 
-	"netmem/internal/cluster"
 	"netmem/internal/des"
 	"netmem/internal/dfs"
 	"netmem/internal/faults"
-	"netmem/internal/fstore"
-	"netmem/internal/model"
-	"netmem/internal/obs"
-	"netmem/internal/rmem"
 )
 
 // Sharded chaos harness: the Figure 2 operation mix run against the
@@ -63,91 +58,65 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		return nil, fmt.Errorf("shard: chaos needs at least one shard, got %d", cfg.Shards)
 	}
 	failover := len(cfg.Campaign.Crashes) > 0
-	base, err := runChaosMix(nil, cfg.Seed, cfg.Mode, cfg.Shards, failover)
+	base, leg, err := dfs.RunLegs("shard: chaos", cfg.Campaign, func(camp *faults.Campaign) (*chaosRig, error) {
+		return runChaosMix(camp, cfg.Seed, cfg.Mode, cfg.Shards, failover)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("shard: chaos baseline: %w", err)
-	}
-	leg, err := runChaosMix(&cfg.Campaign, cfg.Seed, cfg.Mode, cfg.Shards, failover)
-	if err != nil {
-		return nil, fmt.Errorf("shard: chaos run: %w", err)
+		return nil, err
 	}
 	if leg.divErr != nil {
 		return nil, fmt.Errorf("shard: chaos divergence audit: %w", leg.divErr)
 	}
-	res := &ChaosResult{Shards: cfg.Shards, Strays: leg.strays, Repaired: leg.repaired,
-		JoinAttempted: leg.rig.joinDone, JoinAborted: leg.rig.joinErr != nil}
-	res.Campaign = cfg.Campaign.Name
-	res.Seed = leg.eng.Seed()
-	res.Mode = cfg.Mode
-	res.Injected = leg.eng.Counts()
-	res.Metrics = leg.tr.Snapshot()
-	res.Window = leg.window
-	res.Replays = leg.rig.replays
-	res.Events = leg.events
-	res.Retries = res.Metrics.Counter("reliable.retries")
-	res.Giveups = res.Metrics.Counter("reliable.giveup")
-	for _, rec := range leg.rig.svc.Coordinators() {
-		if rec == nil || !rec.Restored() {
-			continue
-		}
-		res.FailedOver = true
-		if mttr := time.Duration(rec.MTTR()); mttr > res.MTTR {
-			res.MTTR = mttr
-		}
-		res.Rebinds += rec.Rebinds
-	}
-	for i, op := range leg.ops {
-		op.Baseline = base.ops[i].Chaos
-		res.Ops = append(res.Ops, op)
-		if op.OK {
-			res.Completed++
-		}
-	}
-	return res, nil
+	return &ChaosResult{
+		ChaosResult: leg.Result(cfg.Campaign.Name, cfg.Mode, base.Leg, leg.svc.Coordinators()...),
+		Shards:      cfg.Shards, Strays: leg.strays, Repaired: leg.repaired,
+		JoinAttempted: leg.joinDone, JoinAborted: leg.joinErr != nil,
+	}, nil
 }
 
-// chaosLeg is one measured leg.
-type chaosLeg struct {
-	ops      []dfs.ChaosOpResult
-	tr       *obs.Tracer
-	eng      *faults.Engine
-	rig      *chaosRig
-	window   time.Duration
-	events   uint64
-	strays   int
-	repaired int
-	divErr   error
-}
-
-// chaosRig is the sharded counterpart of the dfs experiment rig: shard i
-// on node i, the clerk on node S, and (with failover) shard i's standby on
-// node S+1+i.
+// chaosRig is one leg of a sharded rig: the service, its clerk, and the
+// mix driving them, plus the rig's audit outcomes.
 type chaosRig struct {
-	env      *des.Env
-	cl       *cluster.Cluster
-	svc      *Service
-	clerk    *Clerk
-	file     fstore.Handle
-	dir      fstore.Handle
-	link     fstore.Handle
-	replays  int64
+	*dfs.Leg
+	svc   *Service
+	clerk *Clerk
+	mix   *dfs.Mix
+
 	joinDone bool  // the mid-campaign AddShard probe returned
 	joinErr  error // ... and this is what it said (nil = join stuck)
+
+	strays, repaired int   // post-campaign divergence audit
+	divErr           error // ... and its failure, if any
+
+	headApplied, tailApplied uint64 // replica rig: chain spread at the crash
 }
 
-func runChaosMix(camp *faults.Campaign, seed int64, mode dfs.Mode, shards int, failover bool) (*chaosLeg, error) {
-	env := des.NewEnv()
-	if seed != 0 {
-		env.Seed(seed)
+// errNoCoordinator gives up replays of an op whose shard has no failover
+// coordinator to wait for.
+var errNoCoordinator = errors.New("shard: no failover coordinator")
+
+// awaitSlot returns the replay gate for ops owned by slot(spec): park
+// until that shard's coordinator finishes any failover in progress.
+func (r *chaosRig) awaitSlot(slot func(dfs.OpSpec) int) func(*des.Proc, dfs.OpSpec) error {
+	return func(p *des.Proc, spec dfs.OpSpec) error {
+		rec := r.svc.Coordinators()[slot(spec)]
+		if rec == nil {
+			return errNoCoordinator
+		}
+		return rec.AwaitRestored(p, time.Second)
 	}
-	tr := obs.New(obs.Config{})
-	env.SetTracer(tr)
-	var eng *faults.Engine
-	var clusterOpts []cluster.Option
-	if camp != nil {
-		eng = faults.NewEngine(env, *camp)
-		clusterOpts = append(clusterOpts, cluster.WithFaultEngine(eng))
-	}
+}
+
+// warm builds the mix over the service, seeding the shared store with the
+// Figure 2/3 tree and warming each record into its owning shard's cache.
+func (r *chaosRig) warm(mode dfs.Mode) (err error) {
+	r.mix, err = dfs.NewMix(r.clerk, mode, r.svc.Store, func() dfs.MixServer { return r.svc }, dfs.CyclicPattern(16384))
+	return err
+}
+
+// runChaosMix runs one leg: shard i on node i, the clerk on node S, and
+// (with failover) shard i's standby on node S+1+i.
+func runChaosMix(camp *faults.Campaign, seed int64, mode dfs.Mode, shards int, failover bool) (*chaosRig, error) {
 	nodes := shards + 1
 	if failover {
 		nodes = 2*shards + 1
@@ -167,88 +136,61 @@ func runChaosMix(camp *faults.Campaign, seed int64, mode dfs.Mode, shards int, f
 			}
 		}
 	}
-	cl := cluster.New(env, &model.Default, nodes, clusterOpts...)
-	mgrs := make([]*rmem.Manager, nodes)
-	for i := range mgrs {
-		mgrs[i] = rmem.NewManager(cl.Nodes[i])
-	}
+	r := &chaosRig{Leg: dfs.NewLeg(camp, seed, nodes)}
+	mgrs := r.Mgrs
 	// A recovered shard node reboots cold: its restarted manager fences
 	// every descriptor from the dead incarnation (nil-safe without engine).
 	for i := 0; i < shards; i++ {
-		eng.OnRecover(i, mgrs[i].Restart)
+		r.Engine.OnRecover(i, mgrs[i].Restart)
 	}
 
-	rig := &chaosRig{env: env, cl: cl}
 	mc := mgrs[shards]
-	var setupErr error
-	env.Spawn("shardchaos.setup", func(p *des.Proc) {
-		rig.svc = NewService(p, mgrs[:shards], nodes, dfs.Geometry{}, dfs.WithReliableReplies())
+	err := r.Setup("shardchaos.setup", 200*time.Millisecond, func(p *des.Proc) error {
+		r.svc = NewService(p, mgrs[:shards], nodes, dfs.Geometry{}, dfs.WithReliableReplies())
 		copts := []dfs.ClerkOption{dfs.WithReliable()}
 		if failover {
 			copts = append(copts, dfs.WithFencing())
 		}
-		rig.clerk = NewClerk(p, mc, rig.svc, mode, WithSubOptions(copts...))
-		if setupErr = rig.warm(); setupErr != nil {
-			return
+		r.clerk = NewClerk(p, mc, r.svc, mode, WithSubOptions(copts...))
+		if err := r.warm(mode); err != nil {
+			return err
 		}
 		if failover {
 			// The clerk rebinds itself through its Membership subscription
 			// when the coordinator publishes the slot move.
 			for i := 0; i < shards; i++ {
-				rig.svc.ArmFailover(p, i, mgrs[shards+1+i], mc, 100*time.Microsecond)
+				r.svc.ArmFailover(p, i, mgrs[shards+1+i], mc, 100*time.Microsecond)
 			}
 		}
+		return nil
 	})
-	if err := env.RunUntil(des.Time(200 * time.Millisecond)); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if setupErr != nil {
-		return nil, setupErr
 	}
 
 	if joiner >= 0 {
 		jm := mgrs[joiner]
-		env.Spawn("shardchaos.join", func(p *des.Proc) {
-			if p.Now() < joinAt {
-				p.Sleep(time.Duration(joinAt.Sub(p.Now())))
-			}
+		r.Env.Spawn("shardchaos.join", func(p *des.Proc) {
+			p.SleepUntil(joinAt)
 			// The joiner dies 1ms in; AddShard must roll the cutover back
 			// and leave the original ring serving. The error is the
 			// expected outcome, not a harness failure.
-			_, rig.joinErr = rig.svc.AddShard(p, jm)
-			rig.joinDone = true
+			_, r.joinErr = r.svc.AddShard(p, jm)
+			r.joinDone = true
 		})
 	}
 
-	leg := &chaosLeg{tr: tr, eng: eng, rig: rig}
-	ops := make([]dfs.ChaosOpResult, len(dfs.Figure2Ops))
-	env.Spawn("shardchaos.mix", func(p *des.Proc) {
+	r.Env.Spawn("shardchaos.mix", func(p *des.Proc) {
 		// Anchor at t = 200ms so the campaign's flap and crash windows land
 		// inside the measured run.
-		if at := des.Time(200 * time.Millisecond); p.Now() < at {
-			p.Sleep(time.Duration(at.Sub(p.Now())))
-		}
-		start := p.Now()
-		for i, spec := range dfs.Figure2Ops {
-			ops[i] = rig.runVerifiedOp(p, spec)
-			// A failed op either died in the crashed shard's outage window or
-			// lost its retry budget to link faults. Park until the owning
-			// shard's coordinator finishes any failover in progress, then
-			// replay a bounded number of times.
-			rec := rig.svc.Coordinators()[rig.shardOf(spec)]
-			for tries := 0; !ops[i].OK && rec != nil && tries < 3; tries++ {
-				if err := rec.AwaitRestored(p, time.Second); err != nil {
-					break
-				}
-				rig.replays++
-				ops[i] = rig.runVerifiedOp(p, spec)
-			}
-		}
-		leg.window = time.Duration(p.Now().Sub(start))
+		p.SleepUntil(des.Time(200 * time.Millisecond))
+		// A failed op's replay waits on the coordinator of the shard its
+		// key routes to.
+		r.RunMix(p, r.mix, 0, r.awaitSlot(r.shardOf))
 		// Post-campaign divergence audit (untimed): after crashes, failovers,
 		// and replays, every resident data bucket must still live on the
 		// shard that owns its key.
-		leg.strays, leg.repaired, leg.divErr = rig.svc.CheckDivergence(p)
+		r.strays, r.repaired, r.divErr = r.svc.CheckDivergence(p)
 	})
 	// Heartbeat/watchdog/mirror daemons never idle, so the failover rig
 	// needs a finite horizon.
@@ -256,203 +198,22 @@ func runChaosMix(camp *faults.Campaign, seed int64, mode dfs.Mode, shards int, f
 	if failover {
 		horizon = des.Time(3 * time.Second)
 	}
-	if err := env.RunUntil(horizon); err != nil {
+	if err := r.Env.RunUntil(horizon); err != nil {
 		return nil, err
 	}
-	leg.ops = ops
-	leg.events = env.Events()
-	return leg, nil
-}
-
-// warm populates the shared store with the Figure 2/3 tree and warms each
-// record into its owning shard's cache.
-func (r *chaosRig) warm() error {
-	st := r.svc.Store
-	h, err := st.WriteFile("/export/data.bin", chaosSeedPattern(16384))
-	if err != nil {
-		return err
-	}
-	r.file = h
-	for i := 0; i < 260; i++ {
-		if _, err := st.WriteFile(fmt.Sprintf("/export/pub/entry%03d", i), nil); err != nil {
-			return err
-		}
-	}
-	dir, _, err := st.ResolvePath("/export/pub")
-	if err != nil {
-		return err
-	}
-	r.dir = dir
-	exp, _, err := st.ResolvePath("/export")
-	if err != nil {
-		return err
-	}
-	lh, _, err := st.Symlink(exp, "current", "/export/data.bin")
-	if err != nil {
-		return err
-	}
-	r.link = lh
-	for _, wh := range []fstore.Handle{r.file, r.link} {
-		if err := r.svc.WarmFile(wh); err != nil {
-			return err
-		}
-	}
-	if err := r.svc.WarmDir(exp); err != nil {
-		return err
-	}
-	return r.svc.WarmDir(dir)
+	return r, nil
 }
 
 // shardOf maps a mix operation to the shard its key routes to — the one
 // whose coordinator can unblock a replay.
 func (r *chaosRig) shardOf(spec dfs.OpSpec) int {
+	t := r.mix.Tree
 	switch spec.Op {
 	case dfs.OpLookup, dfs.OpReadDir:
-		return r.svc.Owner(r.dir)
+		return r.svc.Owner(t.Dir)
 	case dfs.OpReadLink:
-		return r.svc.Owner(r.link)
+		return r.svc.Owner(t.Link)
 	default:
-		return r.svc.Owner(r.file)
+		return r.svc.Owner(t.File)
 	}
-}
-
-// runVerifiedOp executes one mix operation through the sharded clerk and
-// verifies the result bytes against the shared store's ground truth.
-func (r *chaosRig) runVerifiedOp(p *des.Proc, spec dfs.OpSpec) dfs.ChaosOpResult {
-	res := dfs.ChaosOpResult{Label: spec.Label}
-	c := r.clerk
-	st := r.svc.Store
-
-	fail := func(err error) dfs.ChaosOpResult {
-		res.Err = err.Error()
-		res.Chaos = 0
-		return res
-	}
-
-	// Writes establish DX block ownership with an untimed read; reads
-	// measure the network path, so flush first.
-	if spec.Op == dfs.OpWrite && c.Mode == dfs.DX {
-		blocks := (spec.Size + fstore.BlockSize - 1) / fstore.BlockSize
-		if _, err := c.Read(p, r.file, 0, blocks*fstore.BlockSize); err != nil {
-			return fail(fmt.Errorf("ownership read: %w", err))
-		}
-	} else {
-		c.FlushLocal()
-	}
-
-	start := p.Now()
-	switch spec.Op {
-	case dfs.OpGetAttr:
-		a, err := c.GetAttr(p, r.file)
-		if err != nil {
-			return fail(err)
-		}
-		want, err := st.GetAttr(r.file)
-		if err != nil {
-			return fail(err)
-		}
-		if a.Size != want.Size || a.Type != want.Type {
-			return fail(fmt.Errorf("attr mismatch: got size %d, want %d", a.Size, want.Size))
-		}
-	case dfs.OpLookup:
-		h, _, err := c.Lookup(p, r.dir, "entry007")
-		if err != nil {
-			return fail(err)
-		}
-		want, _, err := st.Lookup(r.dir, "entry007")
-		if err != nil {
-			return fail(err)
-		}
-		if h != want {
-			return fail(fmt.Errorf("lookup handle mismatch"))
-		}
-	case dfs.OpReadLink:
-		target, err := c.ReadLink(p, r.link)
-		if err != nil {
-			return fail(err)
-		}
-		if target != "/export/data.bin" {
-			return fail(fmt.Errorf("readlink returned %q", target))
-		}
-	case dfs.OpRead:
-		data, err := c.Read(p, r.file, 0, spec.Size)
-		if err != nil {
-			return fail(err)
-		}
-		want, err := st.Read(r.file, 0, spec.Size)
-		if err != nil {
-			return fail(err)
-		}
-		if !bytes.Equal(data, want) {
-			return fail(fmt.Errorf("read returned wrong bytes"))
-		}
-	case dfs.OpReadDir:
-		data, err := c.ReadDir(p, r.dir, 0, spec.Size)
-		if err != nil {
-			return fail(err)
-		}
-		ents, err := st.ReadDir(r.dir)
-		if err != nil {
-			return fail(err)
-		}
-		want := dfs.SerializeDir(ents)[:spec.Size]
-		if !bytes.Equal(data, want) {
-			return fail(fmt.Errorf("readdir returned wrong bytes"))
-		}
-	case dfs.OpWrite:
-		payload := chaosWritePattern(spec.Size)
-		owner := r.svc.Owner(r.file)
-		before := r.svc.Shards[owner].DataDeposits()
-		if err := c.Write(p, r.file, 0, payload); err != nil {
-			return fail(err)
-		}
-		if c.Mode == dfs.DX {
-			// Bounded: a crash between the deposit and this observation swaps
-			// the shard for its promoted standby, whose counter may never
-			// advance — fail the op and let the replay path settle it.
-			deadline := p.Now().Add(c.Sub(owner).EffectiveCallTimeout())
-			for r.svc.Shards[owner].DataDeposits() == before {
-				if p.Now() > deadline {
-					return fail(fmt.Errorf("write deposit not observed"))
-				}
-				p.Sleep(2 * time.Microsecond)
-			}
-		}
-		res.Chaos = time.Duration(p.Now().Sub(start))
-		// Verification (untimed): apply write-behind state on every shard and
-		// read the shared store back.
-		if _, err := r.svc.Sync(p); err != nil {
-			return fail(err)
-		}
-		got, err := st.Read(r.file, 0, spec.Size)
-		if err != nil {
-			return fail(err)
-		}
-		if !bytes.Equal(got, payload) {
-			return fail(fmt.Errorf("written bytes did not reach the store intact"))
-		}
-		res.OK = true
-		return res
-	}
-	res.Chaos = time.Duration(p.Now().Sub(start))
-	res.OK = true
-	return res
-}
-
-// chaosSeedPattern fills the warm file; chaosWritePattern is the write
-// payload, distinguishable from the seed so a lost write cannot be masked.
-func chaosSeedPattern(n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(i % 251)
-	}
-	return b
-}
-
-func chaosWritePattern(n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(i*7 + 129)
-	}
-	return b
 }

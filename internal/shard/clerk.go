@@ -405,6 +405,18 @@ func (c *Clerk) Sub(i int) *dfs.Clerk { return c.sub[i] }
 // Node returns the clerk's node.
 func (c *Clerk) Node() *cluster.Node { return c.m.Node }
 
+// EffectiveCallTimeout is the bound on one sub-clerk exchange. Every
+// sub-clerk derives the same one: they share the clerk's manager and its
+// sub-options.
+func (c *Clerk) EffectiveCallTimeout() time.Duration {
+	for _, sc := range c.sub {
+		if sc != nil {
+			return sc.EffectiveCallTimeout()
+		}
+	}
+	return 0
+}
+
 // FlushLocal drops every sub-clerk's client-side cache. The token-coherent
 // block cache survives: its validity is guaranteed by held tokens, not by
 // freshness assumptions, so there is nothing to flush for correctness —

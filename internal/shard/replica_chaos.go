@@ -4,13 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"netmem/internal/cluster"
 	"netmem/internal/des"
 	"netmem/internal/dfs"
 	"netmem/internal/faults"
-	"netmem/internal/model"
-	"netmem/internal/obs"
-	"netmem/internal/rmem"
 )
 
 // Replica-chain chaos harness: the Figure 2 mix against one shard backed
@@ -61,49 +57,22 @@ func RunReplicaLagChaos(cfg ReplicaChaosConfig) (*ReplicaChaosResult, error) {
 	if cfg.Replicas < 1 {
 		return nil, fmt.Errorf("shard: replica chaos needs at least one replica, got %d", cfg.Replicas)
 	}
-	base, err := runReplicaMix(nil, cfg.Seed, cfg.Mode, cfg.Replicas)
+	base, leg, err := dfs.RunLegs("shard: replica chaos", cfg.Campaign, func(camp *faults.Campaign) (*chaosRig, error) {
+		return runReplicaMix(camp, cfg.Seed, cfg.Mode, cfg.Replicas)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("shard: replica chaos baseline: %w", err)
+		return nil, err
 	}
-	leg, err := runReplicaMix(&cfg.Campaign, cfg.Seed, cfg.Mode, cfg.Replicas)
-	if err != nil {
-		return nil, fmt.Errorf("shard: replica chaos run: %w", err)
-	}
-	res := &ReplicaChaosResult{Replicas: cfg.Replicas}
-	res.Campaign = cfg.Campaign.Name
-	res.Seed = leg.eng.Seed()
-	res.Mode = cfg.Mode
-	res.Injected = leg.eng.Counts()
-	res.Metrics = leg.tr.Snapshot()
-	res.Window = leg.window
-	res.Replays = leg.rig.replays
-	res.Events = leg.events
-	res.Retries = res.Metrics.Counter("reliable.retries")
-	res.Giveups = res.Metrics.Counter("reliable.giveup")
-	res.PromotedNode = leg.rig.svc.PromotedNode
-	res.PromotedApplied = leg.rig.svc.PromotedApplied
-	res.HeadApplied = leg.headApplied
-	res.TailApplied = leg.tailApplied
-	res.ReplicaReads = leg.rig.clerk.ReplicaReads
-	res.Spliced = leg.rig.svc.ChainSplices
-	for _, rec := range leg.rig.svc.Coordinators() {
-		if rec == nil || !rec.Restored() {
-			continue
-		}
-		res.FailedOver = true
-		if mttr := time.Duration(rec.MTTR()); mttr > res.MTTR {
-			res.MTTR = mttr
-		}
-		res.Rebinds += rec.Rebinds
-	}
-	for i, op := range leg.ops {
-		op.Baseline = base.ops[i].Chaos
-		res.Ops = append(res.Ops, op)
-		if op.OK {
-			res.Completed++
-		}
-	}
-	return res, nil
+	return &ReplicaChaosResult{
+		ChaosResult:     leg.Result(cfg.Campaign.Name, cfg.Mode, base.Leg, leg.svc.Coordinators()...),
+		Replicas:        cfg.Replicas,
+		PromotedNode:    leg.svc.PromotedNode,
+		PromotedApplied: leg.svc.PromotedApplied,
+		HeadApplied:     leg.headApplied,
+		TailApplied:     leg.tailApplied,
+		ReplicaReads:    leg.clerk.ReplicaReads,
+		Spliced:         leg.svc.ChainSplices,
+	}, nil
 }
 
 // runSteps advances env in step-sized slices until stop() reports true or
@@ -126,126 +95,81 @@ func runSteps(env *des.Env, step, horizon time.Duration, stop func() bool) error
 	return nil
 }
 
-// replicaLeg is one measured replica-rig leg.
-type replicaLeg struct {
-	ops                      []dfs.ChaosOpResult
-	tr                       *obs.Tracer
-	eng                      *faults.Engine
-	rig                      *chaosRig
-	window                   time.Duration
-	events                   uint64
-	headApplied, tailApplied uint64
-}
-
-func runReplicaMix(camp *faults.Campaign, seed int64, mode dfs.Mode, replicas int) (*replicaLeg, error) {
-	env := des.NewEnv()
-	if seed != 0 {
-		env.Seed(seed)
-	}
-	tr := obs.New(obs.Config{})
-	env.SetTracer(tr)
-	var eng *faults.Engine
-	var clusterOpts []cluster.Option
-	if camp != nil {
-		eng = faults.NewEngine(env, *camp)
-		clusterOpts = append(clusterOpts, cluster.WithFaultEngine(eng))
-	}
+// runReplicaMix runs one leg: the primary on node 0, the clerk on node 1,
+// the failover watcher on node 2, chain members on nodes 3 and up.
+func runReplicaMix(camp *faults.Campaign, seed int64, mode dfs.Mode, replicas int) (*chaosRig, error) {
 	nodes := 3 + replicas // primary, clerk, watcher, chain members
-	cl := cluster.New(env, &model.Default, nodes, clusterOpts...)
-	mgrs := make([]*rmem.Manager, nodes)
-	for i := range mgrs {
-		mgrs[i] = rmem.NewManager(cl.Nodes[i])
-	}
-	eng.OnRecover(0, mgrs[0].Restart)
+	r := &chaosRig{Leg: dfs.NewLeg(camp, seed, nodes)}
+	mgrs := r.Mgrs
+	r.Engine.OnRecover(0, mgrs[0].Restart)
 
-	rig := &chaosRig{env: env, cl: cl}
-	var setupErr error
-	env.Spawn("replicachaos.setup", func(p *des.Proc) {
-		rig.svc = NewService(p, mgrs[:1], nodes, dfs.Geometry{}, dfs.WithReliableReplies())
-		rig.clerk = NewClerk(p, mgrs[1], rig.svc, mode,
+	err := r.Setup("replicachaos.setup", 190*time.Millisecond, func(p *des.Proc) error {
+		r.svc = NewService(p, mgrs[:1], nodes, dfs.Geometry{}, dfs.WithReliableReplies())
+		r.clerk = NewClerk(p, mgrs[1], r.svc, mode,
 			WithSubOptions(dfs.WithReliable(), dfs.WithFencing()), WithTokenCache())
-		if setupErr = rig.warm(); setupErr != nil {
-			return
+		if err := r.warm(mode); err != nil {
+			return err
 		}
-		if setupErr = rig.svc.AttachReplicas(p, 0, mgrs[3:], 100*time.Microsecond); setupErr != nil {
-			return
+		if err := r.svc.AttachReplicas(p, 0, mgrs[3:], 100*time.Microsecond); err != nil {
+			return err
 		}
 		// The watcher gets its own otherwise-idle node: its probe reads
 		// must not queue behind the clerk's bulk transfers, or fabric
 		// congestion during the mix reads as a death verdict.
-		_, setupErr = rig.svc.ArmChainFailover(p, 0, mgrs[2], 100*time.Microsecond)
+		_, err := r.svc.ArmChainFailover(p, 0, mgrs[2], 100*time.Microsecond)
+		return err
 	})
-	if err := env.RunUntil(des.Time(190 * time.Millisecond)); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	if setupErr != nil {
-		return nil, setupErr
-	}
 
-	leg := &replicaLeg{tr: tr, eng: eng, rig: rig}
-	ops := make([]dfs.ChaosOpResult, len(dfs.Figure2Ops))
 	var mixDone bool
-	env.Spawn("replicachaos.mix", func(p *des.Proc) {
+	r.Env.Spawn("replicachaos.mix", func(p *des.Proc) {
 		defer func() { mixDone = true }()
+		file := r.mix.Tree.File
 		// A fresh write-behind burst just before the campaign's delay
 		// window: the resulting chain re-pushes are what the per-link
 		// delays starve, so the members' applied watermarks spread and the
 		// crash finds genuinely lagging deep members.
-		if at := des.Time(190*time.Millisecond + 100*time.Microsecond); p.Now() < at {
-			p.Sleep(time.Duration(at.Sub(p.Now())))
-		}
+		p.SleepUntil(des.Time(190*time.Millisecond + 100*time.Microsecond))
 		// Healthy-path evidence first: the chain converged on the warm
 		// frames during setup and no write is in flight, so a re-read with
 		// the block copies dropped (tokens and their stamped watermarks
 		// kept) must move the bytes from a chain member. The campaign then
 		// starves and decapitates exactly the tier this proves was serving.
-		if _, err := rig.clerk.Read(p, rig.file, 0, 16384); err == nil {
-			rig.clerk.FlushLocal()
-			rig.clerk.DropTokenCache()
-			_, _ = rig.clerk.Read(p, rig.file, 0, 16384)
+		if _, err := r.clerk.Read(p, file, 0, 16384); err == nil {
+			r.clerk.FlushLocal()
+			r.clerk.DropTokenCache()
+			_, _ = r.clerk.Read(p, file, 0, 16384)
 		}
 		lag := make([]byte, 16384)
 		for i := range lag {
 			lag[i] = byte(254 - i%251) // distinct from the warm pattern, so every bucket re-pushes
 		}
-		if err := rig.clerk.Write(p, rig.file, 0, lag); err == nil {
-			_, _ = rig.svc.Sync(p)
+		if err := r.clerk.Write(p, file, 0, lag); err == nil {
+			_, _ = r.svc.Sync(p)
 		}
-		for _, cr := range rig.svc.Replicas(0) {
+		for _, cr := range r.svc.Replicas(0) {
 			a := cr.Applied()
-			if leg.headApplied == 0 || a > leg.headApplied {
-				leg.headApplied = a
+			if r.headApplied == 0 || a > r.headApplied {
+				r.headApplied = a
 			}
-			if leg.tailApplied == 0 || a < leg.tailApplied {
-				leg.tailApplied = a
-			}
-		}
-		start := p.Now()
-		for i, spec := range dfs.Figure2Ops {
-			ops[i] = rig.runVerifiedOp(p, spec)
-			rec := rig.svc.Coordinators()[0]
-			for tries := 0; !ops[i].OK && rec != nil && tries < 3; tries++ {
-				if err := rec.AwaitRestored(p, time.Second); err != nil {
-					break
-				}
-				rig.replays++
-				ops[i] = rig.runVerifiedOp(p, spec)
+			if r.tailApplied == 0 || a < r.tailApplied {
+				r.tailApplied = a
 			}
 		}
-		leg.window = time.Duration(p.Now().Sub(start))
+		r.RunMix(p, r.mix, 0, r.awaitSlot(func(dfs.OpSpec) int { return 0 }))
 	})
 	// Heartbeat, chain push, and forwarder daemons never idle: the rig
 	// needs a finite horizon, gated on the mix completing plus a settle
 	// slice for in-flight chain acks and the failover coordinator's tail.
-	if err := runSteps(env, 10*time.Millisecond, 3*time.Second, func() bool { return mixDone }); err != nil {
+	if err := runSteps(r.Env, 10*time.Millisecond, 3*time.Second, func() bool { return mixDone }); err != nil {
 		return nil, err
 	}
 	if mixDone {
-		if err := env.RunUntil(env.Now().Add(100 * time.Millisecond)); err != nil {
+		if err := r.Env.RunUntil(r.Env.Now().Add(100 * time.Millisecond)); err != nil {
 			return nil, err
 		}
 	}
-	leg.ops = ops
-	leg.events = env.Events()
-	return leg, nil
+	return r, nil
 }

@@ -139,6 +139,12 @@ func (s *Service) WarmDir(h fstore.Handle) error {
 	return s.Shards[s.Owner(h)].WarmDir(h)
 }
 
+// Deposits counts remote writes landed in the data cache of h's owning
+// shard.
+func (s *Service) Deposits(h fstore.Handle) int64 {
+	return s.Shards[s.Owner(h)].DataDeposits()
+}
+
 // Sync applies write-behind state on every live shard; returns total blocks.
 func (s *Service) Sync(p *des.Proc) (int, error) {
 	total := 0

@@ -38,7 +38,6 @@ package netmem
 import (
 	"time"
 
-	"netmem/internal/atm"
 	"netmem/internal/cluster"
 	"netmem/internal/consensus"
 	"netmem/internal/des"
@@ -77,11 +76,6 @@ type (
 	Node = cluster.Node
 	// Params is the calibrated hardware/software cost model.
 	Params = model.Params
-	// Fault configures cell-loss injection.
-	//
-	// Deprecated: use FaultCampaign with WithFaults, which is seeded and
-	// reproducible.
-	Fault = atm.Fault
 )
 
 // Fault injection and reliability (§3.7).
@@ -306,26 +300,6 @@ type (
 	TraceEvent = obs.Event
 )
 
-// Deprecated package-level constructors, kept so existing callers compile.
-// New code should use the System-anchored methods, which resolve nodes and
-// managers from the system instead of asking the caller to thread them.
-var (
-	// Deprecated: use (*System).NewSecureChannel.
-	NewSecureChannel = secure.NewChannel
-	// Deprecated: use (*System).NewSecureVault.
-	NewSecureVault = secure.NewVault
-	// Deprecated: use (*System).StartHeartbeat.
-	StartHeartbeat = rmem.StartHeartbeat
-	// Deprecated: use (*System).NewWatchdog.
-	NewWatchdog = rmem.NewWatchdog
-	// Deprecated: use (*System).NewSVMAgent.
-	NewSVMAgent = svm.New
-	// Deprecated: use (*System).NewTokenTable.
-	NewTokenTable = tokens.NewTable
-	// Deprecated: use (*System).NewTokenClient.
-	NewTokenClient = tokens.NewClient
-)
-
 // HardwareCrypto and SoftwareCrypto are the two §3.5 cipher cost models.
 var (
 	HardwareCrypto = secure.DefaultHardware
@@ -437,7 +411,7 @@ type System struct {
 	// otherwise; all its methods are nil-safe).
 	Faults *FaultEngine
 
-	// shards is the WithShards count consumed by NewShardedFileService.
+	// shards is the WithShards count consumed by Shards().Service.
 	shards int
 	// chainLen / chainPace carry WithReplicaChain to Shards().Service.
 	chainLen  int
@@ -470,14 +444,6 @@ func WithSwitch() Option {
 	return func(o *sysOptions) { o.clusterOpts = append(o.clusterOpts, cluster.WithSwitch()) }
 }
 
-// WithFault injects cell loss on direct links.
-//
-// Deprecated: use WithFaults, whose campaigns are seeded, cover every
-// fault class, and replay identically run to run.
-func WithFault(f *Fault) Option {
-	return func(o *sysOptions) { o.clusterOpts = append(o.clusterOpts, cluster.WithFault(f)) }
-}
-
 // WithFaults runs the system under a fault campaign: every link consults
 // the campaign engine per cell, and scheduled crashes/restarts fire
 // against the nodes. The engine is exposed as System.Faults; a restarted
@@ -506,7 +472,7 @@ func WithRecovery() Option {
 	return func(o *sysOptions) { o.reliable, o.recovery = true, true }
 }
 
-// WithShards sets the shard count NewShardedFileService builds: the file
+// WithShards sets the shard count Shards().Service builds: the file
 // namespace is partitioned across nodes 0..n-1 by consistent hashing.
 // The system must have at least n nodes.
 func WithShards(n int) Option {
@@ -607,9 +573,9 @@ func (s *System) Obs() *Tracer { return s.Env.Tracer() }
 
 // File-service construction options, re-exported for facade users.
 type (
-	// FileServerOption configures NewFileServer (e.g. WithStore).
+	// FileServerOption configures Files().Server (e.g. WithStore).
 	FileServerOption = dfs.ServerOption
-	// FileClerkOption configures NewFileClerk (e.g. WithReadAhead).
+	// FileClerkOption configures Files().Clerk (e.g. WithReadAhead).
 	FileClerkOption = dfs.ClerkOption
 )
 
@@ -635,9 +601,7 @@ var (
 // ---------------------------------------------------------------------------
 // Builder facade. Each System method below returns a small API value scoped
 // to one subsystem; its methods resolve nodes and managers from the system,
-// so callers name nodes by index instead of threading managers around. The
-// older flat System.New* constructors remain at the bottom of the file as
-// thin deprecated wrappers over these builders.
+// so callers name nodes by index instead of threading managers around.
 
 // FilesAPI builds the single-server file service of §5: servers, clerks,
 // and hot standbys. Obtain one with System.Files.
@@ -916,100 +880,4 @@ func (WorkloadAPI) Schedule(cfg OpenLoopConfig, files, dirs int) *ArrivalSchedul
 // summarize with WorkloadRecorder.Report.
 func (WorkloadAPI) Recorder(classes ...SLOClass) *WorkloadRecorder {
 	return workload.NewRecorder(classes...)
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated flat constructors, kept so existing callers compile. Each is a
-// thin wrapper over the corresponding builder above.
-
-// NewFileServer builds the file service on node; call from a Proc.
-//
-// Deprecated: use Files().Server.
-func (s *System) NewFileServer(p *Proc, node int, geo FileGeometry, opts ...FileServerOption) *FileServer {
-	return s.Files().Server(p, node, geo, opts...)
-}
-
-// NewFileClerk wires a clerk on node to srv; call from a Proc.
-//
-// Deprecated: use Files().Clerk.
-func (s *System) NewFileClerk(p *Proc, node int, srv *FileServer, mode FileMode, opts ...FileClerkOption) *FileClerk {
-	return s.Files().Clerk(p, node, srv, mode, opts...)
-}
-
-// NewFileStandby exports a hot-standby mirror for a file service.
-//
-// Deprecated: use Files().Standby.
-func (s *System) NewFileStandby(p *Proc, node int, geo FileGeometry) *FileStandby {
-	return s.Files().Standby(p, node, geo)
-}
-
-// NewShardedFileService builds the sharded file tier.
-//
-// Deprecated: use Shards().Service.
-func (s *System) NewShardedFileService(p *Proc, geo FileGeometry, opts ...FileServerOption) *ShardService {
-	return s.Shards().Service(p, geo, opts...)
-}
-
-// NewShardFileClerk wires a sharding-aware clerk on node to svc.
-//
-// Deprecated: use Shards().Clerk.
-func (s *System) NewShardFileClerk(p *Proc, node int, svc *ShardService, mode FileMode, opts ...ShardClerkOption) *ShardFileClerk {
-	return s.Shards().Clerk(p, node, svc, mode, opts...)
-}
-
-// NewRecovery creates a recovery coordinator on node watching peer.
-//
-// Deprecated: use Health().Recovery.
-func (s *System) NewRecovery(node, peer int, cfg RecoveryConfig) *RecoveryCoordinator {
-	return s.Health().Recovery(node, peer, cfg)
-}
-
-// StartHeartbeat publishes a liveness counter at (seg, off) from node.
-//
-// Deprecated: use Health().Heartbeat.
-func (s *System) StartHeartbeat(node int, seg *Segment, off int, interval time.Duration) *Heartbeat {
-	return s.Health().Heartbeat(node, seg, off, interval)
-}
-
-// NewWatchdog starts monitoring the heartbeat word at off within imp.
-//
-// Deprecated: use Health().Watchdog.
-func (s *System) NewWatchdog(node int, imp *Import, off int, interval, timeout time.Duration,
-	onFail func(p *Proc, err error)) *Watchdog {
-	return s.Health().Watchdog(node, imp, off, interval, timeout, onFail)
-}
-
-// NewSVMAgent creates the Ivy-style shared-virtual-memory agent on node.
-//
-// Deprecated: use SVM().Agent.
-func (s *System) NewSVMAgent(node, manager, npages int) *SVMAgent {
-	return s.SVM().Agent(node, manager, npages)
-}
-
-// NewTokenTable creates the §5.1 write-token table on node.
-//
-// Deprecated: use Tokens().Table.
-func (s *System) NewTokenTable(p *Proc, node, n int) *TokenTable {
-	return s.Tokens().Table(p, node, n)
-}
-
-// NewTokenClient wires a token client on node to the table at home.
-//
-// Deprecated: use Tokens().Client.
-func (s *System) NewTokenClient(p *Proc, node, home int, tabID, tabGen uint16, tabSize, slotNodes int) *TokenClient {
-	return s.Tokens().Client(p, node, home, tabID, tabGen, tabSize, slotNodes)
-}
-
-// NewSecureVault wraps seg (exported from node) as an encrypted segment.
-//
-// Deprecated: use Secure().Vault.
-func (s *System) NewSecureVault(node int, seg *Segment, key SecureKey, cost CryptoCost) *SecureVault {
-	return secure.NewVault(s.Cluster.Nodes[node], seg, key, cost)
-}
-
-// NewSecureChannel is the importer's end of an encrypted segment.
-//
-// Deprecated: use Secure().Channel.
-func (s *System) NewSecureChannel(imp *Import, key SecureKey, cost CryptoCost) *SecureChannel {
-	return secure.NewChannel(imp, key, cost)
 }

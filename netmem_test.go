@@ -231,56 +231,55 @@ func TestFacadeElasticShards(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConstructorsDelegate drives every deprecated flat
-// constructor once: each must still compile and hand back the same object
-// its builder produces, so pre-facade callers keep working verbatim.
-func TestDeprecatedConstructorsDelegate(t *testing.T) {
+// TestFacadeBuilders drives every builder method once — file service,
+// shards, health, SVM, tokens, secure — and checks each hands back a
+// live object.
+func TestFacadeBuilders(t *testing.T) {
 	sys := New(4, WithShards(2))
 	key := SecureKey{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 	sys.Spawn("demo", func(p *Proc) {
-		srv := sys.NewFileServer(p, 0, FileGeometry{})
-		if sys.NewFileClerk(p, 1, srv, DX) == nil {
-			t.Error("NewFileClerk returned nil")
+		srv := sys.Files().Server(p, 0, FileGeometry{})
+		if sys.Files().Clerk(p, 1, srv, DX) == nil {
+			t.Error("Files().Clerk returned nil")
 		}
-		if sys.NewFileStandby(p, 2, FileGeometry{}) == nil {
-			t.Error("NewFileStandby returned nil")
+		if sys.Files().Standby(p, 2, FileGeometry{}) == nil {
+			t.Error("Files().Standby returned nil")
 		}
-		svc := sys.NewShardedFileService(p, FileGeometry{})
-		if sys.NewShardFileClerk(p, 3, svc, DX) == nil {
-			t.Error("NewShardFileClerk returned nil")
+		svc := sys.Shards().Service(p, FileGeometry{})
+		if sys.Shards().Clerk(p, 3, svc, DX) == nil {
+			t.Error("Shards().Clerk returned nil")
 		}
-		if sys.NewRecovery(0, 1, RecoveryConfig{}) == nil {
-			t.Error("NewRecovery returned nil")
+		if sys.Health().Recovery(0, 1, RecoveryConfig{}) == nil {
+			t.Error("Health().Recovery returned nil")
 		}
 
 		seg := sys.Mem[1].Export(p, 64)
 		seg.SetDefaultRights(RightsAll)
-		if sys.StartHeartbeat(1, seg, 0, time.Millisecond) == nil {
-			t.Error("StartHeartbeat returned nil")
+		if sys.Health().Heartbeat(1, seg, 0, time.Millisecond) == nil {
+			t.Error("Health().Heartbeat returned nil")
 		}
 		imp := sys.Mem[0].Import(p, 1, seg.ID(), seg.Gen(), seg.Size())
-		wd := sys.NewWatchdog(0, imp, 0, time.Millisecond, 10*time.Millisecond, nil)
-		if wd == nil {
-			t.Error("NewWatchdog returned nil")
+		if sys.Health().Watchdog(0, imp, 0, time.Millisecond, 10*time.Millisecond, nil) == nil {
+			t.Error("Health().Watchdog returned nil")
 		}
 
-		if sys.NewSVMAgent(0, 0, 1) == nil {
-			t.Error("NewSVMAgent returned nil")
+		if sys.SVM().Agent(0, 0, 1) == nil {
+			t.Error("SVM().Agent returned nil")
 		}
-		tab := sys.NewTokenTable(p, 0, 4)
+		tab := sys.Tokens().Table(p, 0, 4)
 		id, gen, size := tab.Coordinates()
-		if sys.NewTokenClient(p, 1, 0, id, gen, size, len(sys.Cluster.Nodes)) == nil {
-			t.Error("NewTokenClient returned nil")
+		if sys.Tokens().Client(p, 1, 0, id, gen, size, len(sys.Cluster.Nodes)) == nil {
+			t.Error("Tokens().Client returned nil")
 		}
 
 		state := sys.Mem[1].Export(p, 256)
 		state.SetDefaultRights(RightsAll)
-		if sys.NewSecureVault(1, state, key, HardwareCrypto) == nil {
-			t.Error("NewSecureVault returned nil")
+		if sys.Secure().Vault(1, state, key, HardwareCrypto) == nil {
+			t.Error("Secure().Vault returned nil")
 		}
 		stImp := sys.Mem[0].Import(p, 1, state.ID(), state.Gen(), state.Size())
-		if sys.NewSecureChannel(stImp, key, HardwareCrypto) == nil {
-			t.Error("NewSecureChannel returned nil")
+		if sys.Secure().Channel(stImp, key, HardwareCrypto) == nil {
+			t.Error("Secure().Channel returned nil")
 		}
 	})
 	if err := sys.RunFor(100 * time.Millisecond); err != nil {
