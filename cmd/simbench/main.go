@@ -1,12 +1,14 @@
 // Command simbench is the reproducible wall-clock benchmark suite for the
 // simulator fast path. It runs the heaviest workloads in the repository —
-// the mixed chaos campaign and the six-client scale experiment — several
-// times each, takes the best wall-clock rep (least scheduler noise), and
-// emits a JSON report (BENCH_PR4.json in CI).
+// the mixed chaos campaign, the six-client scale experiment, and the
+// open-loop smoke point on the replica-chain tier — several times each,
+// takes the best wall-clock rep (least scheduler noise), and emits a JSON
+// report (BENCH_PR4.json in CI).
 //
-// With -baseline, it compares the mixed-campaign events/sec against a
-// previously committed report and exits nonzero when throughput regressed
-// more than -gate percent — the CI regression gate for the fast path.
+// With -baseline, it compares the events/sec of the gated legs (the mixed
+// campaign and the chain tier) against a previously committed report and
+// exits nonzero when either regressed more than -gate percent — the CI
+// regression gate for the fast path.
 //
 // Usage:
 //
@@ -46,14 +48,21 @@ type Report struct {
 	Benchmarks []Result `json:"benchmarks"`
 }
 
-// mixedChaosName is the benchmark the -baseline gate applies to.
-const mixedChaosName = "mixed-chaos"
+// Benchmark names; gatedNames are the ones the -baseline gate applies to.
+// chain-steady is the only leg that runs replica chains, so it is the one
+// that catches a chain pusher that goes back to rescanning memory.
+const (
+	mixedChaosName  = "mixed-chaos"
+	chainSteadyName = "chain-steady"
+)
+
+var gatedNames = []string{mixedChaosName, chainSteadyName}
 
 func main() {
 	out := flag.String("out", "BENCH_PR4.json", "write the JSON report here ('-' for stdout only)")
 	reps := flag.Int("reps", 3, "repetitions per benchmark; the best wall-clock rep is reported")
 	baseline := flag.String("baseline", "", "compare against this committed report")
-	gate := flag.Float64("gate", 20, "fail if mixed-campaign events/sec regresses more than this percent vs -baseline")
+	gate := flag.Float64("gate", 20, "fail if a gated leg's events/sec regresses more than this percent vs -baseline")
 	flag.Parse()
 
 	benches := []struct {
@@ -64,6 +73,7 @@ func main() {
 		{"scale6-dx", func() (uint64, error) { return runScale6(dfs.DX) }},
 		{"scale6-hy", func() (uint64, error) { return runScale6(dfs.HY) }},
 		{"cas-contend", runCASContend},
+		{chainSteadyName, runChainSteady},
 	}
 
 	rep := Report{
@@ -161,8 +171,35 @@ func runCASContend() (uint64, error) {
 	return res.Events, nil
 }
 
-// checkGate fails when the mixed-campaign events/sec fell more than pct
-// percent below the committed baseline report.
+// runChainSteady runs the open-loop smoke point once: 100k clients at
+// 0.05 ops/s each, steady shape, Zipf θ=0.9, for 500 ms of virtual time on
+// four shards with three-member replica chains (fsbench -slo-smoke). A
+// failed op means the result is wrong, so it is not timed.
+func runChainSteady() (uint64, error) {
+	cfg := workload.OpenLoopConfig{
+		Clients:           100_000,
+		RatePerClient:     0.05,
+		Window:            500 * time.Millisecond,
+		Shape:             workload.ShapeSteady,
+		ZipfTheta:         0.9,
+		Shards:            4,
+		Replicas:          3,
+		StragglerPerMille: 5,
+		Seed:              1,
+	}
+	res, err := workload.RunOpenLoop(cfg)
+	if err != nil {
+		return 0, err
+	}
+	tot := res.Report.Total
+	if tot.Failed != 0 || tot.Ops == 0 {
+		return 0, fmt.Errorf("%d of %d ops failed — open-loop result wrong, refusing to time it", tot.Failed, tot.Ops)
+	}
+	return res.Events, nil
+}
+
+// checkGate fails when a gated leg's events/sec fell more than pct percent
+// below the committed baseline report.
 func checkGate(cur Report, baselinePath string, pct float64) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -180,19 +217,21 @@ func checkGate(cur Report, baselinePath string, pct float64) error {
 		}
 		return Result{}, false
 	}
-	b, ok := find(base, mixedChaosName)
-	if !ok {
-		return fmt.Errorf("baseline has no %q entry", mixedChaosName)
-	}
-	c, ok := find(cur, mixedChaosName)
-	if !ok {
-		return fmt.Errorf("current run has no %q entry", mixedChaosName)
-	}
-	floor := b.EventsPerSec * (1 - pct/100)
-	if c.EventsPerSec < floor {
-		return fmt.Errorf("%s: %.0f events/sec is %.1f%% below baseline %.0f (floor %.0f)",
-			mixedChaosName, c.EventsPerSec,
-			(1-c.EventsPerSec/b.EventsPerSec)*100, b.EventsPerSec, floor)
+	for _, name := range gatedNames {
+		b, ok := find(base, name)
+		if !ok {
+			return fmt.Errorf("baseline has no %q entry", name)
+		}
+		c, ok := find(cur, name)
+		if !ok {
+			return fmt.Errorf("current run has no %q entry", name)
+		}
+		floor := b.EventsPerSec * (1 - pct/100)
+		if c.EventsPerSec < floor {
+			return fmt.Errorf("%s: %.0f events/sec is %.1f%% below baseline %.0f (floor %.0f)",
+				name, c.EventsPerSec,
+				(1-c.EventsPerSec/b.EventsPerSec)*100, b.EventsPerSec, floor)
+		}
 	}
 	return nil
 }

@@ -152,9 +152,13 @@ type ChainReplica struct {
 	geo Geometry
 	seg *rmem.Segment
 
-	shadowVer []uint64     // per-bucket version as of the last forward pass
-	next      *rmem.Import // downstream member's chain segment; nil = tail
-	ack       *rmem.Import // primary's chain-state segment (ack words)
+	shadowVer []uint64             // per-bucket version as of the last forward pass
+	filter    *bucketFilter        // frames the forward pass must revisit
+	snap      []byte               // relay snapshot buffer, reused per relay
+	prefix    [chainPrefixLen]byte // post-relay prefix re-push buffer
+	ackWord   [8]byte              // applied-version ack buffer
+	next      *rmem.Import         // downstream member's chain segment; nil = tail
+	ack       *rmem.Import         // primary's chain-state segment (ack words)
 	ackOff    int
 	epoch     uint32
 	applied   uint64
@@ -179,6 +183,7 @@ func NewChainReplica(p *des.Proc, m *rmem.Manager, geo Geometry) *ChainReplica {
 	// Upstream WRITEs frames in, clerks READ them out, write-token recall
 	// WRITEs poison words — no CAS ever.
 	cr.seg.SetDefaultRights(rmem.RightRead | rmem.RightWrite)
+	cr.filter = newBucketFilter(cr.seg, nil, chainHdr, chainStride, geo.DataBuckets)
 	return cr
 }
 
@@ -242,29 +247,47 @@ func (cr *ChainReplica) start(interval des.Duration) {
 // is re-pushed as a prefix, restoring the downstream poison or tearing
 // the downstream frame. The campaign's ordering guarantees the local
 // prefix has changed by the time the racing relay completes.
+//
+// Only frames stored into since they were last settled are looked at
+// (bucketFilter); a pass finding no store into the segment since the last
+// full pass, which left nothing pending, returns at once.
 func (cr *ChainReplica) forwardPass(p *des.Proc) {
 	buf := cr.seg.Bytes()
 	cr.epoch = binary.BigEndian.Uint32(buf[chainHdrEpoch:])
+	f := cr.filter
+	if !f.begin() {
+		return
+	}
 	maxApplied := cr.applied
 	changed := false
 	for b := 0; b < cr.geo.DataBuckets; b++ {
+		if !f.stale(b) {
+			continue
+		}
+		at := f.now()
 		lo := chainHdr + b*chainStride
 		frame := buf[lo : lo+chainStride]
 		if binary.BigEndian.Uint32(frame) != 0 {
+			f.settle(b, at)
 			continue // recall poison: not relayable, not servable
 		}
 		head := binary.BigEndian.Uint64(frame[4:])
 		tail := binary.BigEndian.Uint64(frame[chainStride-8:])
 		if head == 0 || head != tail || head%2 != 0 || head == cr.shadowVer[b] {
+			f.settle(b, at)
 			continue
 		}
-		if cr.next != nil {
+		if cr.next == nil {
+			f.settle(b, at)
+		} else {
 			// Snapshot before the (reliable, sleeping) push: an upstream
 			// frame landing mid-push must not tear the relayed copy.
-			snap := append([]byte(nil), frame...)
-			if err := cr.next.WriteBlock(p, lo, snap, false); err != nil {
+			cr.snap = append(cr.snap[:0], frame...)
+			if err := cr.next.WriteBlock(p, lo, cr.snap, false); err != nil {
+				f.hold()
 				cr.splice(p)
 			} else {
+				f.settle(b, at)
 				cr.Forwarded++
 				if tr := cr.m.Node.Env.Tracer(); tr != nil {
 					tr.Count("dfs.chain.forwarded", 1)
@@ -273,8 +296,8 @@ func (cr *ChainReplica) forwardPass(p *des.Proc) {
 				// here while the relay was in flight?
 				if binary.BigEndian.Uint32(frame) != 0 ||
 					binary.BigEndian.Uint64(frame[4:]) != head {
-					pre := append([]byte(nil), frame[:chainPrefixLen]...)
-					if err := cr.next.WriteBlock(p, lo, pre, false); err != nil {
+					copy(cr.prefix[:], frame)
+					if err := cr.next.WriteBlock(p, lo, cr.prefix[:], false); err != nil {
 						cr.splice(p)
 					} else {
 						cr.Repaired++
@@ -295,9 +318,8 @@ func (cr *ChainReplica) forwardPass(p *des.Proc) {
 		cr.applied = maxApplied
 		binary.BigEndian.PutUint64(buf[ChainAppliedOff:], cr.applied)
 		if cr.ack != nil {
-			var w [8]byte
-			binary.BigEndian.PutUint64(w[:], cr.applied)
-			if err := cr.ack.WriteBlock(p, cr.ackOff, w[:], false); err == nil {
+			binary.BigEndian.PutUint64(cr.ackWord[:], cr.applied)
+			if err := cr.ack.WriteBlock(p, cr.ackOff, cr.ackWord[:], false); err == nil {
 				cr.Acked++
 			}
 		}
@@ -336,7 +358,6 @@ func (cr *ChainReplica) TakeOver(p *des.Proc, store *fstore.Store, nodes int, op
 	}
 	cr.stopped = true
 	srv := NewServer(p, cr.m, nodes, cr.geo, append([]ServerOption{WithStore(store)}, opts...)...)
-	dst := srv.data.Bytes()
 	for b := 0; b < cr.geo.DataBuckets; b++ {
 		lo := chainHdr + b*chainStride
 		frame := buf[lo : lo+chainStride]
@@ -349,7 +370,7 @@ func (cr *ChainReplica) TakeOver(p *des.Proc, store *fstore.Store, nodes int, op
 		if flag, _, _, _ := getHdr(rec); flag != flagDirty {
 			continue
 		}
-		copy(dst[b*dataStride:(b+1)*dataStride], rec[:dataStride])
+		copy(srv.storeData(b*dataStride, dataStride), rec[:dataStride])
 		cr.Restored++
 	}
 	if tr := cr.m.Node.Env.Tracer(); tr != nil {

@@ -26,14 +26,17 @@ type Server struct {
 	eager    []*rmem.Import // subscribed eager-update boards (§3.2)
 	reliable bool           // WithReliableReplies: retransmitting outbound writes
 
-	standby *rmem.Import // hot-standby mirror segment (AttachStandby)
-	shadow  []byte       // data-area image as of the last mirror pass
-	guard   WriteGuard   // mutation gate (SetWriteGuard); nil allows all
+	standby      *rmem.Import  // hot-standby mirror segment (AttachStandby)
+	shadow       []byte        // data-area image as of the last mirror pass
+	mirrorFilter *bucketFilter // data buckets the mirror pass must revisit
+	guard        WriteGuard    // mutation gate (SetWriteGuard); nil allows all
 
 	chainHead    *rmem.Import   // first chain member's segment (AttachChain)
 	chainMembers []*rmem.Import // every member's segment, chain order (abort re-poison)
 	chainState   *rmem.Segment  // exported version watermark / recall marker table
 	chainShadow  []byte         // data-area image as of the last chain pass
+	chainFilter  *bucketFilter  // data buckets the chain pass must revisit
+	chainFrame   []byte         // framed-bucket snapshot buffer, reused per push
 	chainSeq     uint64         // monotone frame version (epoch in high 32 bits)
 	chainEpoch   uint32         // replica-set epoch
 	chainDaemon  bool           // chain push daemon spawned
@@ -157,6 +160,7 @@ func (s *Server) AttachStandby(p *des.Proc, sb *Standby, interval des.Duration) 
 		s.m.WriteFaults = append(s.m.WriteFaults, fmt.Errorf("dfs: mirror header: %w", err))
 	}
 	s.shadow = append([]byte(nil), s.data.Bytes()...)
+	s.mirrorFilter = newBucketFilter(s.data, nil, 0, dataStride, s.Geo.DataBuckets)
 	s.m.Node.Env.SpawnDaemon(fmt.Sprintf("dfs.mirror.%d", s.m.Node.ID), func(p *des.Proc) {
 		for {
 			p.Sleep(interval)
@@ -173,28 +177,37 @@ func (s *Server) AttachStandby(p *des.Proc, sb *Standby, interval des.Duration) 
 // since been applied (so the standby must not replay a stale block). Clean
 // installs (warm-up, read misses) are reconstructible from the file store
 // and are deliberately not mirrored: the steady-state mirror traffic is
-// proportional to the write-behind window, not the cache size.
+// proportional to the write-behind window, not the cache size. Only
+// buckets written since they were last settled are looked at (see
+// bucketFilter).
 func (s *Server) mirrorPass(p *des.Proc) {
+	f := s.mirrorFilter
+	if !f.begin() {
+		return
+	}
 	buf := s.data.Bytes()
 	for b := 0; b < s.Geo.DataBuckets; b++ {
+		if !f.stale(b) {
+			continue
+		}
 		lo := b * dataStride
 		cur := buf[lo : lo+dataStride]
 		old := s.shadow[lo : lo+dataStride]
-		// Flags first: a pass over an all-clean cache touches two words per
-		// bucket and compares no block bytes.
+		// Flags first: a clean bucket that was clean at the last push
+		// compares no block bytes.
 		curFlag := binary.BigEndian.Uint32(cur)
 		oldFlag := binary.BigEndian.Uint32(old)
-		if curFlag != flagDirty && oldFlag != flagDirty {
-			continue
-		}
-		if bytes.Equal(cur, old) {
+		if (curFlag != flagDirty && oldFlag != flagDirty) || bytes.Equal(cur, old) {
+			f.settle(b, f.now())
 			continue
 		}
 		if err := s.standby.WriteBlock(p, mirrorHdr+lo, cur, false); err != nil {
 			s.m.WriteFaults = append(s.m.WriteFaults, fmt.Errorf("dfs: mirror bucket %d: %w", b, err))
+			f.hold()
 			return
 		}
 		copy(old, cur)
+		f.settle(b, f.now())
 		s.Mirrored++
 		if tr := s.m.Node.Env.Tracer(); tr != nil {
 			tr.Count("dfs.mirror.buckets", 1)
@@ -284,9 +297,13 @@ func (s *Server) AttachChain(p *des.Proc, epoch uint32, members []*ChainReplica,
 
 	// A zero shadow (unlike the mirror's live snapshot): warm clean blocks
 	// must reach the replicas too, since they serve reads, not just takeover.
+	// A fresh filter leaves every bucket unsettled, so the next pass
+	// compares everything against it.
 	s.chainShadow = make([]byte, len(s.data.Bytes()))
+	s.chainFilter = newBucketFilter(s.data, st, 0, dataStride, buckets)
 	if !s.chainDaemon {
 		s.chainDaemon = true
+		s.chainFrame = make([]byte, chainStride)
 		s.m.Node.Env.SpawnDaemon(fmt.Sprintf("dfs.chainpush.%d", s.m.Node.ID), func(p *des.Proc) {
 			for {
 				p.Sleep(interval)
@@ -322,22 +339,35 @@ func (s *Server) AttachChain(p *des.Proc, epoch uint32, members []*ChainReplica,
 // aborted version number is thereby never admitted by any floor: floors
 // are only stamped when R == D == C (tokens.RWClient.stampWatermark),
 // and by then the published version exceeds every aborted one.
+//
+// The markers are read for every bucket on every pass that runs, but the
+// bucket bytes are compared only when the data area was written under
+// them since they were last settled (bucketFilter). A pass finding no
+// write to the data area or the chain-state table since the last full
+// pass, which left nothing pending, returns at once.
 func (s *Server) chainPass(p *des.Proc) {
+	f := s.chainFilter
+	if !f.begin() {
+		return
+	}
 	buf := s.data.Bytes()
-	frame := make([]byte, chainStride)
+	frame := s.chainFrame
 	for b := 0; b < s.Geo.DataBuckets; b++ {
 		st := s.chainState.Bytes() // remote marker writes land between sleeps
 		entry := st[ChainStateVerOff(b):]
 		r := binary.BigEndian.Uint32(entry[ChainStateROff:])
 		d := binary.BigEndian.Uint32(entry[ChainStateDOff:])
 		if r != d {
+			f.hold()
 			continue // recalled, deposit still in flight: keep the poison
 		}
 		cc := binary.BigEndian.Uint32(entry[chainStateCOff:])
 		lo := b * dataStride
 		cur := buf[lo : lo+dataStride]
 		old := s.chainShadow[lo : lo+dataStride]
-		if cc == r && bytes.Equal(cur, old) {
+		at := f.now()
+		if cc == r && (!f.stale(b) || bytes.Equal(cur, old)) {
+			f.settle(b, at)
 			continue
 		}
 		s.chainSeq += 2
@@ -351,6 +381,7 @@ func (s *Server) chainPass(p *des.Proc) {
 		binary.BigEndian.PutUint64(frame[chainStride-8:], v)
 		if err := s.chainHead.WriteBlock(p, ChainFrameOff(b), frame, false); err != nil {
 			s.m.WriteFaults = append(s.m.WriteFaults, fmt.Errorf("dfs: chain bucket %d: %w", b, err))
+			f.hold()
 			return
 		}
 		st = s.chainState.Bytes()
@@ -361,10 +392,12 @@ func (s *Server) chainPass(p *des.Proc) {
 			// become servable. Re-poison the whole chain in order (the same
 			// head→tail discipline as the recall itself, so the forwarders'
 			// post-relay re-checks hold) and publish nothing.
+			f.hold()
 			s.abortChainPush(p, b)
 			continue
 		}
 		copy(old, frame[12:12+dataStride])
+		f.settle(b, at)
 		binary.BigEndian.PutUint64(entry[:8], v)
 		binary.BigEndian.PutUint32(entry[chainStateCOff:], r)
 		s.ChainPushes++
@@ -384,12 +417,15 @@ func (s *Server) abortChainPush(p *des.Proc, b int) {
 	if tr := s.m.Node.Env.Tracer(); tr != nil {
 		tr.Count("dfs.chain.abort", 1)
 	}
-	poison := []byte{0, 0, 0, 1}
 	for _, imp := range s.chainMembers {
 		// An unreachable member is not serving reads; skip and move on.
-		_ = imp.WriteBlock(p, ChainFrameOff(b), poison, false)
+		_ = imp.WriteBlock(p, ChainFrameOff(b), chainPoison[:], false)
 	}
 }
+
+// chainPoison is the recall poison word an aborted push re-plants. It is
+// only ever read: WriteBlock copies what it sends before returning.
+var chainPoison = [4]byte{0, 0, 0, 1}
 
 // ChainState exposes the chain-state segment coordinates (watermark table
 // + ack words) for clerks and the failover prober. HasChain reports
@@ -458,7 +494,7 @@ func (s *Server) MigrateBuckets(p *des.Proc, dst func(fstore.Handle) (*rmem.Impo
 			// The shadow copy is left alone: the next mirror pass sees the
 			// dirty→empty transition and pushes the cleared bucket, so a
 			// standby cannot replay a block the donor no longer owns.
-			binary.BigEndian.PutUint32(rec, flagEmpty)
+			binary.BigEndian.PutUint32(s.storeData(lo, 4), flagEmpty)
 			cleared++
 		}
 	}
@@ -475,6 +511,15 @@ func (s *Server) installAttr(h fstore.Handle, a fstore.Attr) {
 	buf := s.attr.Bytes()[off:]
 	putHdr(buf, flagValid, h, 0, attrLen)
 	packAttr(buf[recHdr:], a)
+}
+
+// storeData returns n bytes of the data area at off for an owner store,
+// marking them written so the pushers' bucket filters revisit them. Every
+// store the server makes into its data area goes through here, called at
+// the store with no blocking point before the bytes change.
+func (s *Server) storeData(off, n int) []byte {
+	s.data.MarkWritten(off, n)
+	return s.data.Bytes()[off : off+n]
 }
 
 func (s *Server) dropAttr(h fstore.Handle) {
@@ -527,8 +572,7 @@ func (s *Server) installLink(h fstore.Handle, target string) {
 }
 
 func (s *Server) installData(h fstore.Handle, block int64, data []byte) {
-	off := s.Geo.dataOff(h, block)
-	buf := s.data.Bytes()[off:]
+	buf := s.storeData(s.Geo.dataOff(h, block), dataStride)
 	putHdr(buf, flagValid, h, uint32(block), len(data))
 	copy(buf[recHdr:recHdr+fstore.BlockSize], make([]byte, fstore.BlockSize))
 	copy(buf[recHdr:], data)
@@ -635,7 +679,7 @@ func (s *Server) syncHandle(p *des.Proc, h fstore.Handle) error {
 		if _, err := s.Store.Write(key, int64(block)*fstore.BlockSize, buf[recHdr:recHdr+n]); err != nil {
 			return fmt.Errorf("dfs: sync %v block %d: %w", key, block, err)
 		}
-		binary.BigEndian.PutUint32(buf, flagValid)
+		binary.BigEndian.PutUint32(s.storeData(b*dataStride, 4), flagValid)
 		s.Synced++
 	}
 	return nil
@@ -648,7 +692,7 @@ func (s *Server) refreshCachedBlocks(h fstore.Handle) {
 		buf := s.data.Bytes()[b*dataStride:]
 		if flag, key, block, _ := getHdr(buf); flag != flagEmpty && key == h {
 			if _, err := s.loadBlock(h, int64(block)); err != nil {
-				binary.BigEndian.PutUint32(buf, flagEmpty)
+				binary.BigEndian.PutUint32(s.storeData(b*dataStride, 4), flagEmpty)
 			}
 		}
 	}
@@ -677,7 +721,7 @@ func (s *Server) Sync(p *des.Proc) (int, error) {
 		if _, err := s.Store.Write(key, int64(block)*fstore.BlockSize, buf[recHdr:recHdr+n]); err != nil {
 			return applied, fmt.Errorf("dfs: sync %v block %d: %w", key, block, err)
 		}
-		binary.BigEndian.PutUint32(buf, flagValid)
+		binary.BigEndian.PutUint32(s.storeData(b*dataStride, 4), flagValid)
 		a, err := s.Store.GetAttr(key)
 		if err == nil {
 			s.installAttr(key, a)

@@ -122,6 +122,7 @@ func (s *Segment) ReadLocal(p *des.Proc, off, n int) []byte {
 func (s *Segment) WriteLocal(p *des.Proc, off int, data []byte) {
 	s.localAccessCost(p, len(data))
 	copy(s.buf[off:], data)
+	s.MarkWritten(off, len(data))
 }
 
 // ReadWord reads the big-endian 4-byte word at off (must be aligned).
@@ -142,6 +143,7 @@ func (s *Segment) WriteWord(p *des.Proc, off int, v uint32) {
 	}
 	s.localAccessCost(p, 4)
 	putbe32(s.buf[off:], v)
+	s.MarkWritten(off, 4)
 }
 
 // CASLocal atomically compares-and-swaps the big-endian word at off against
@@ -163,5 +165,6 @@ func (s *Segment) CASLocal(p *des.Proc, off int, old, new uint32) bool {
 		return false
 	}
 	putbe32(s.buf[off:], new)
+	s.MarkWritten(off, 4)
 	return true
 }

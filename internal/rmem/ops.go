@@ -565,6 +565,7 @@ func (m *Manager) handleWrite(p *des.Proc, src int, msg *wireMsg) {
 	} else {
 		copy(s.buf[msg.off:], msg.data)
 	}
+	s.MarkWritten(int(msg.off), len(msg.data))
 	s.RemoteWrites++
 	m.maybeNotify(p, s, src, OpWrite, int(msg.off), len(msg.data), msg.notify)
 	if msg.rel {
@@ -617,6 +618,7 @@ func (m *Manager) handleCAS(p *des.Proc, src int, msg *wireMsg) {
 	success := cur == msg.oldW
 	if success {
 		putbe32(s.buf[msg.off:], msg.newW)
+		s.MarkWritten(int(msg.off), 4)
 	}
 	s.RemoteCAS++
 	rep := &wireMsg{kind: kindCASReply, req: msg.req, success: success}
@@ -648,6 +650,7 @@ func (m *Manager) handleReadReply(p *des.Proc, msg *wireMsg) {
 		} else {
 			copy(po.dst.buf[po.doff:], msg.data)
 		}
+		po.dst.MarkWritten(po.doff, len(msg.data))
 	}
 	po.done = true
 	m.opCompleted(po)
@@ -672,6 +675,7 @@ func (m *Manager) handleCASReply(p *des.Proc, msg *wireMsg) {
 			w = 1
 		}
 		putbe32(po.dst.buf[po.doff:], w)
+		po.dst.MarkWritten(po.doff, 4)
 	}
 	po.done = true
 	m.opCompleted(po)

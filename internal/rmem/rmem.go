@@ -188,6 +188,8 @@ type Segment struct {
 	notes    *des.FIFO[Notification]
 	nwaiters *des.WaitQueue
 
+	stamps *writeStamps // host-side write tracking; nil = untracked
+
 	// Stats.
 	RemoteWrites, RemoteReads, RemoteCAS int64
 	Notifies                             int64
