@@ -106,20 +106,16 @@ func (n *Node) Failed() bool { return n.failed }
 // node's CPU track, a per-category counter metric (Figure 3's server
 // occupancy breakdown reads these), and the CPU-utilization timeline.
 func (n *Node) UseCPU(p *des.Proc, cat string, d des.Duration) {
-	tr := n.Env.Tracer()
-	if tr == nil {
-		n.CPU.Use(p, d)
-		n.CPUAcct[cat] += d
-		return
-	}
 	n.CPU.Acquire(p)
 	start := time.Duration(n.Env.Now())
 	p.Sleep(d)
 	n.CPU.Release()
-	tr.Span(n.cpuTrack, "cpu", cat, start, d)
-	tr.Count(n.cpuKey(cat), int64(d))
-	tr.Usage(n.cpuTrack, start, d)
 	n.CPUAcct[cat] += d
+	if tr := n.Env.Tracer(); tr != nil {
+		tr.Span(n.cpuTrack, "cpu", cat, start, d)
+		tr.Count(n.cpuKey(cat), int64(d))
+		tr.Usage(n.cpuTrack, start, d)
+	}
 }
 
 // ResetCPUAcct clears the accounting breakdown (between experiment phases).

@@ -6,7 +6,7 @@ import (
 
 	"netmem/internal/cluster"
 	"netmem/internal/des"
-	"netmem/internal/model"
+	"netmem/internal/dfs"
 	"netmem/internal/rmem"
 )
 
@@ -57,27 +57,26 @@ func RunCASBench(cfg CASBenchConfig) (*CASBenchResult, error) {
 	if cfg.WinsPerClerk <= 0 {
 		cfg.WinsPerClerk = 200
 	}
-	env := des.NewEnv()
-	if cfg.Seed != 0 {
-		env.Seed(cfg.Seed)
-	}
-	nodes := cfg.Clerks + 1
-	cl := cluster.New(env, &model.Default, nodes)
-	mgrs := make([]*rmem.Manager, nodes)
-	for i := range mgrs {
-		mgrs[i] = rmem.NewManager(cl.Nodes[i])
-	}
-
+	leg := dfs.NewLeg(nil, cfg.Seed, cfg.Clerks+1)
+	acceptor := leg.Cluster.Nodes[0]
 	res := &CASBenchResult{Clerks: cfg.Clerks, WinsPerClerk: cfg.WinsPerClerk}
 	var word *rmem.Segment
 	var start des.Time
 	running := 0
 	started := false
 	var benchErr error
-	env.Spawn("casbench.setup", func(p *des.Proc) {
+	err := leg.Setup("casbench.setup", 60*time.Second, func(p *des.Proc) error {
+		// The stopwatch, spawned before any setup work, polls on a fixed
+		// 50µs grid from t=0 until the last clerk lands its final win.
+		leg.Env.Spawn("casbench.wait", func(p *des.Proc) {
+			for !started || running > 0 {
+				p.Sleep(50 * time.Microsecond)
+			}
+			res.Window = time.Duration(p.Now().Sub(start))
+		})
 		// The contended word: one exported segment on node 0, CAS+read
 		// rights, nobody watching it.
-		word = mgrs[0].Export(p, 8)
+		word = leg.Mgrs[0].Export(p, 8)
 		word.SetDefaultRights(rmem.RightRead | rmem.RightCAS)
 		// Every clerk imports it reliable (retransmitted CASes replay their
 		// recorded outcome instead of double-applying) and brings a private
@@ -88,7 +87,7 @@ func RunCASBench(cfg CASBenchConfig) (*CASBenchResult, error) {
 		}
 		clerks := make([]clerk, cfg.Clerks)
 		for i := range clerks {
-			m := mgrs[i+1]
+			m := leg.Mgrs[i+1]
 			clerks[i] = clerk{
 				imp:     m.Import(p, 0, word.ID(), word.Gen(), 8),
 				scratch: m.Export(p, 8),
@@ -96,13 +95,12 @@ func RunCASBench(cfg CASBenchConfig) (*CASBenchResult, error) {
 			clerks[i].imp.SetReliable(true)
 		}
 		// Setup exports charged CPU on node 0; measure the scramble alone.
-		cl.Nodes[0].ResetCPUAcct()
+		acceptor.ResetCPUAcct()
 		start = p.Now()
 		running = cfg.Clerks
 		started = true
-		for i := range clerks {
-			c := clerks[i]
-			env.Spawn(fmt.Sprintf("casbench.clerk%d", i), func(cp *des.Proc) {
+		for i, c := range clerks {
+			leg.Env.Spawn(fmt.Sprintf("casbench.clerk%d", i), func(cp *des.Proc) {
 				defer func() { running-- }()
 				to := des.Duration(time.Second)
 				wins := 0
@@ -125,14 +123,9 @@ func RunCASBench(cfg CASBenchConfig) (*CASBenchResult, error) {
 				}
 			})
 		}
+		return nil
 	})
-	env.Spawn("casbench.wait", func(p *des.Proc) {
-		for !started || running > 0 {
-			p.Sleep(50 * time.Microsecond)
-		}
-		res.Window = time.Duration(p.Now().Sub(start))
-	})
-	if err := env.RunUntil(des.Time(60 * time.Second)); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	if benchErr != nil {
@@ -147,7 +140,7 @@ func RunCASBench(cfg CASBenchConfig) (*CASBenchResult, error) {
 	if got != want {
 		return nil, fmt.Errorf("consensus: contended word ended at %d, want %d", got, want)
 	}
-	acct := cl.Nodes[0].CPUAcct
+	acct := acceptor.CPUAcct
 	res.AgreementCPU = time.Duration(acct[cluster.CatProc] + acct[cluster.CatControl] + acct[cluster.CatClient])
 	res.InterfaceCPU = time.Duration(acct[cluster.CatRx] + acct[cluster.CatReply])
 	if res.AgreementCPU != 0 {
@@ -156,6 +149,6 @@ func RunCASBench(cfg CASBenchConfig) (*CASBenchResult, error) {
 	if res.Wins > 0 {
 		res.PerWin = res.Window / time.Duration(res.Wins)
 	}
-	res.Events = env.Events()
+	res.Events = leg.Env.Events()
 	return res, nil
 }

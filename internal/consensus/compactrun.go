@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"netmem/internal/cluster"
 	"netmem/internal/des"
-	"netmem/internal/model"
-	"netmem/internal/rmem"
+	"netmem/internal/dfs"
 )
 
 // CompactionResult is one compaction soak: a client commits many times
@@ -41,51 +39,35 @@ func (r *CompactionResult) Windows() float64 {
 // audit rebuilds the digest from the checkpoint plus the retained suffix
 // and must land exactly on the live one.
 func RunCompaction(slots, commits int, seed int64) (*CompactionResult, error) {
-	const nodes = 4
-	env := des.NewEnv()
-	if seed != 0 {
-		env.Seed(seed)
-	}
-	c := cluster.New(env, &model.Default, nodes)
-	mgrs := make([]*rmem.Manager, nodes)
-	for i := range mgrs {
-		mgrs[i] = rmem.NewManager(c.Nodes[i])
-	}
-	var (
-		cp       *ControlPlane
-		start    des.Time
-		window   time.Duration
-		setupErr error
-	)
-	env.Spawn("compact.soak", func(p *des.Proc) {
-		g := NewGroup(p, Config{Slots: slots, Proposers: 5, Compact: true}, mgrs[:3]...)
-		cp = NewControlPlane(p, g, nil)
-		if setupErr = cp.Start(p); setupErr != nil {
-			return
-		}
-		cl := cp.NewClient(p, mgrs[3])
-		start = p.Now()
-		for k := 0; k < commits; k++ {
-			if setupErr = cl.Noop(p); setupErr != nil {
-				setupErr = fmt.Errorf("commit %d: %w", k, setupErr)
-				return
-			}
-		}
-		window = time.Duration(p.Now().Sub(start))
-	})
+	leg := dfs.NewLeg(nil, seed, 4)
+	var cp *ControlPlane
+	var window time.Duration
 	// Scale the horizon with the commit count; a decree commits in ~2-3ms
 	// (two one-sided phases over three acceptors), so 5ms per decree only
 	// bounds runaways.
-	horizon := des.Time(time.Second + time.Duration(commits)*5*time.Millisecond)
-	if err := env.RunUntil(horizon); err != nil {
+	horizon := time.Second + time.Duration(commits)*5*time.Millisecond
+	err := leg.Setup("compact.soak", horizon, func(p *des.Proc) error {
+		g := NewGroup(p, Config{Slots: slots, Proposers: 5, Compact: true}, leg.Mgrs[:3]...)
+		cp = NewControlPlane(p, g, nil)
+		if err := cp.Start(p); err != nil {
+			return err
+		}
+		cl := cp.NewClient(p, leg.Mgrs[3])
+		start := p.Now()
+		for k := 0; k < commits; k++ {
+			if err := cl.Noop(p); err != nil {
+				return fmt.Errorf("commit %d: %w", k, err)
+			}
+		}
+		window = time.Duration(p.Now().Sub(start))
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	if setupErr != nil {
-		return nil, setupErr
 	}
 	if window == 0 {
 		return nil, fmt.Errorf("soak incomplete: %d commits did not finish before the %v horizon",
-			commits, time.Duration(horizon))
+			commits, horizon)
 	}
 
 	r0 := cp.Replicas()[0]
@@ -96,7 +78,7 @@ func RunCompaction(slots, commits int, seed int64) (*CompactionResult, error) {
 		SnapBase: r0.SnapBase(),
 		Digest:   r0.Digest(),
 		Window:   window,
-		Events:   env.Events(),
+		Events:   leg.Env.Events(),
 	}
 
 	ref := r0.Log()

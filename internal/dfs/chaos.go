@@ -27,6 +27,11 @@ import (
 // tree and the verified operation, Leg.RunMix for the replay loop, and
 // Leg.Result for the result. A rig keeps only its placement, spawn order,
 // anchor time, pacing, horizon, seed pattern and audits.
+//
+// NewLeg and Leg.Setup also build every fault-free harness above this
+// package: the closed-loop scaling and elastic experiments (workload), the
+// replica read-scaling sweep and the zero-CPU re-read probes (shard), and
+// the CAS-contention and compaction benches (consensus).
 
 // ChaosConfig selects one chaos run.
 type ChaosConfig struct {
@@ -106,10 +111,11 @@ func (r *ChaosResult) Availability() float64 {
 	return a
 }
 
-// Leg is one leg of a chaos run: a seeded environment with a metrics
-// tracer, the campaign's fault engine (nil on the fault-free baseline
-// leg), the cluster, and one remote-memory manager per node in node order.
-// RunMix fills in the measured mix.
+// Leg is one leg of a chaos run, or one fault-free harness: a seeded
+// environment, the cluster, and one remote-memory manager per node in node
+// order. A campaign leg also carries the campaign's fault engine and the
+// metrics tracer Result reads; a fault-free leg has neither, so it runs
+// uninstrumented. RunMix fills in the measured mix.
 type Leg struct {
 	Env     *des.Env
 	Tracer  *obs.Tracer
@@ -122,26 +128,23 @@ type Leg struct {
 	Window  time.Duration // virtual time the mix took
 }
 
-// NewLeg builds a leg of nodes machines; camp == nil is the fault-free
-// baseline.
+// NewLeg builds a leg of nodes machines; camp == nil is a fault-free leg
+// (a chaos baseline or a harness). seed == 0 keeps des.DefaultSeed.
 func NewLeg(camp *faults.Campaign, seed int64, nodes int) *Leg {
-	env := des.NewEnv()
+	l := &Leg{Env: des.NewEnv(), Mgrs: make([]*rmem.Manager, nodes), Ops: make([]ChaosOpResult, len(Figure2Ops))}
 	if seed != 0 {
-		env.Seed(seed)
+		l.Env.Seed(seed)
 	}
-	tr := obs.New(obs.Config{})
-	env.SetTracer(tr)
-	var eng *faults.Engine
 	var opts []cluster.Option
 	if camp != nil {
-		eng = faults.NewEngine(env, *camp)
-		opts = append(opts, cluster.WithFaultEngine(eng))
+		l.Tracer = obs.New(obs.Config{})
+		l.Env.SetTracer(l.Tracer)
+		l.Engine = faults.NewEngine(l.Env, *camp)
+		opts = append(opts, cluster.WithFaultEngine(l.Engine))
 	}
-	cl := cluster.New(env, &model.Default, nodes, opts...)
-	l := &Leg{Env: env, Tracer: tr, Engine: eng, Cluster: cl,
-		Mgrs: make([]*rmem.Manager, nodes), Ops: make([]ChaosOpResult, len(Figure2Ops))}
+	l.Cluster = cluster.New(l.Env, &model.Default, nodes, opts...)
 	for i := range l.Mgrs {
-		l.Mgrs[i] = rmem.NewManager(cl.Nodes[i])
+		l.Mgrs[i] = rmem.NewManager(l.Cluster.Nodes[i])
 	}
 	return l
 }

@@ -8,8 +8,6 @@ import (
 	"netmem/internal/cluster"
 	"netmem/internal/des"
 	"netmem/internal/dfs"
-	"netmem/internal/model"
-	"netmem/internal/rmem"
 )
 
 // TokenProbeResult reports what a token-cached re-read cost.
@@ -29,64 +27,52 @@ type TokenProbeResult struct {
 func TokenRereadProbe(shards int) (TokenProbeResult, error) {
 	const size = 12 * 1024
 	res := TokenProbeResult{Shards: shards, Bytes: size}
-	env := des.NewEnv()
-	cl := cluster.New(env, &model.Default, shards+1)
-	mgrs := make([]*rmem.Manager, shards+1)
-	for i := range mgrs {
-		mgrs[i] = rmem.NewManager(cl.Nodes[i])
-	}
-	var probeErr error
-	env.Spawn("probe", func(p *des.Proc) {
-		svc := NewService(p, mgrs[:shards], shards+1, dfs.Geometry{})
-		c := NewClerk(p, mgrs[shards], svc, dfs.DX, WithTokenCache())
+	leg := dfs.NewLeg(nil, 0, shards+1)
+	err := leg.Setup("probe", 10*time.Second, func(p *des.Proc) error {
+		svc := NewService(p, leg.Mgrs[:shards], shards+1, dfs.Geometry{})
+		c := NewClerk(p, leg.Mgrs[shards], svc, dfs.DX, WithTokenCache())
 		want := make([]byte, size)
 		for i := range want {
 			want[i] = byte(i*11 + 3)
 		}
 		h, err := svc.Store.WriteFile("/export/probe.bin", want)
 		if err != nil {
-			probeErr = err
-			return
+			return err
 		}
 		if err := svc.WarmFile(h); err != nil {
-			probeErr = err
-			return
+			return err
 		}
 		if _, err := c.Read(p, h, 0, size); err != nil {
-			probeErr = fmt.Errorf("first read: %w", err)
-			return
+			return fmt.Errorf("first read: %w", err)
 		}
 		c.FlushLocal()
-		for i := 0; i < shards; i++ {
-			cl.Nodes[i].ResetCPUAcct()
+		shardNodes := leg.Cluster.Nodes[:shards]
+		for _, n := range shardNodes {
+			n.ResetCPUAcct()
 		}
 		var beforeReads int64
-		for i := 0; i < shards; i++ {
+		for i := range shardNodes {
 			beforeReads += c.Sub(i).RemoteReads
 		}
 		got, err := c.Read(p, h, 0, size)
 		if err != nil {
-			probeErr = fmt.Errorf("re-read: %w", err)
-			return
+			return fmt.Errorf("re-read: %w", err)
 		}
 		if !bytes.Equal(got, want) {
-			probeErr = fmt.Errorf("token-cached re-read returned wrong bytes")
-			return
+			return fmt.Errorf("token-cached re-read returned wrong bytes")
 		}
 		res.TokenHits = c.TokenHits
-		for i := 0; i < shards; i++ {
-			for _, d := range cl.Nodes[i].CPUAcct {
+		for i, n := range shardNodes {
+			for _, d := range n.CPUAcct {
 				res.ServerCPU += time.Duration(d)
 			}
 			res.RemoteReads += c.Sub(i).RemoteReads
 		}
 		res.RemoteReads -= beforeReads
+		return nil
 	})
-	if err := env.RunUntil(des.Time(10 * time.Second)); err != nil {
+	if err != nil {
 		return res, err
-	}
-	if probeErr != nil {
-		return res, probeErr
 	}
 	if res.ServerCPU != 0 || res.RemoteReads != 0 {
 		return res, fmt.Errorf("token-cached re-read was not free: server CPU %v, %d remote reads",
@@ -116,22 +102,13 @@ type ReplicaProbeResult struct {
 func ReplicaRereadProbe(replicas int) (ReplicaProbeResult, error) {
 	const size = 12 * 1024
 	res := ReplicaProbeResult{Replicas: replicas, Bytes: size}
-	env := des.NewEnv()
 	nodes := 2 + replicas // primary, clerk, chain members
-	cl := cluster.New(env, &model.Default, nodes)
-	mgrs := make([]*rmem.Manager, nodes)
-	for i := range mgrs {
-		mgrs[i] = rmem.NewManager(cl.Nodes[i])
-	}
-	var probeErr error
-	var probeDone bool
-	env.Spawn("probe", func(p *des.Proc) {
-		defer func() { probeDone = true }()
-		svc := NewService(p, mgrs[:1], nodes, dfs.Geometry{})
-		c := NewClerk(p, mgrs[1], svc, dfs.DX, WithTokenCache())
-		if err := svc.AttachReplicas(p, 0, mgrs[2:], 100*time.Microsecond); err != nil {
-			probeErr = err
-			return
+	leg := dfs.NewLeg(nil, 0, nodes)
+	probe := func(p *des.Proc) error {
+		svc := NewService(p, leg.Mgrs[:1], nodes, dfs.Geometry{})
+		c := NewClerk(p, leg.Mgrs[1], svc, dfs.DX, WithTokenCache())
+		if err := svc.AttachReplicas(p, 0, leg.Mgrs[2:], 100*time.Microsecond); err != nil {
+			return err
 		}
 		want := make([]byte, size)
 		for i := range want {
@@ -139,60 +116,47 @@ func ReplicaRereadProbe(replicas int) (ReplicaProbeResult, error) {
 		}
 		h, err := svc.Store.WriteFile("/export/probe.bin", want)
 		if err != nil {
-			probeErr = err
-			return
+			return err
 		}
 		if err := svc.WarmFile(h); err != nil {
-			probeErr = err
-			return
+			return err
 		}
-		// Let the chain pushes land the warm buckets on every member: deep
-		// members catch up one forwarding hop per interval, so poll until
-		// the whole chain agrees on a nonzero applied watermark.
-		for tries := 0; tries < 200; tries++ {
-			p.Sleep(des.Duration(time.Millisecond))
-			lo, hi := ^uint64(0), uint64(0)
-			for _, cr := range svc.Replicas(0) {
-				if a := cr.Applied(); a < lo {
-					lo = a
-				}
-				if a := cr.Applied(); a > hi {
-					hi = a
-				}
-			}
-			if lo == hi && lo > 0 {
-				break
-			}
-		}
+		svc.awaitChain(p, 0)
 		if _, err := c.Read(p, h, 0, size); err != nil {
-			probeErr = fmt.Errorf("first read: %w", err)
-			return
+			return fmt.Errorf("first read: %w", err)
 		}
-		// Keep the tokens (and their watermarks), drop every cached block
-		// copy: the re-read must move bytes — but only replica bytes.
+		// Keep the tokens (and their watermarks), drop every cached
+		// block copy: the re-read must move bytes — but only replica
+		// bytes.
 		c.FlushLocal()
 		c.DropTokenCache()
-		cl.Nodes[0].ResetCPUAcct()
+		primary := leg.Cluster.Nodes[0]
+		primary.ResetCPUAcct()
 		beforeOps := svc.Shards[0].RemoteOps()
 		beforeReplica := c.ReplicaReads
 		got, err := c.Read(p, h, 0, size)
 		if err != nil {
-			probeErr = fmt.Errorf("re-read: %w", err)
-			return
+			return fmt.Errorf("re-read: %w", err)
 		}
 		if !bytes.Equal(got, want) {
-			probeErr = fmt.Errorf("replica re-read returned wrong bytes")
-			return
+			return fmt.Errorf("replica re-read returned wrong bytes")
 		}
 		res.ReplicaReads = c.ReplicaReads - beforeReplica
 		res.PrimaryRemoteOps = svc.Shards[0].RemoteOps() - beforeOps
-		acct := cl.Nodes[0].CPUAcct
+		acct := primary.CPUAcct
 		res.PrimaryCPU = time.Duration(acct[cluster.CatProc] + acct[cluster.CatControl] + acct[cluster.CatClient])
+		return nil
+	}
+	var probeErr error
+	var probeDone bool
+	leg.Env.Spawn("probe", func(p *des.Proc) {
+		probeErr = probe(p)
+		probeDone = true
 	})
 	// All assertions are read inside the proc; the chain daemons never
 	// idle, so stop as soon as it finishes rather than draining a fixed
 	// horizon of empty wakeups.
-	if err := runSteps(env, 10*time.Millisecond, 10*time.Second, func() bool { return probeDone }); err != nil {
+	if err := runSteps(leg.Env, 10*time.Millisecond, 10*time.Second, func() bool { return probeDone }); err != nil {
 		return res, err
 	}
 	if probeErr != nil {

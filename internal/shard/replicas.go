@@ -81,6 +81,24 @@ func (s *Service) Replicas(slot int) []*dfs.ChainReplica {
 	return append([]*dfs.ChainReplica(nil), s.chains[slot].members...)
 }
 
+// awaitChain lets the chain pushes land the warm buckets on every member of
+// slot's chain. Deep members catch up one forwarding hop per interval, so
+// it polls each millisecond, for at most 200ms, until the whole chain
+// agrees on a nonzero applied watermark.
+func (s *Service) awaitChain(p *des.Proc, slot int) {
+	for tries := 0; tries < 200; tries++ {
+		p.Sleep(des.Duration(time.Millisecond))
+		lo, hi := ^uint64(0), uint64(0)
+		for _, cr := range s.Replicas(slot) {
+			a := cr.Applied()
+			lo, hi = min(lo, a), max(hi, a)
+		}
+		if lo == hi && lo > 0 {
+			return
+		}
+	}
+}
+
 // hookSplices re-arms the mid-chain crash hook on every member.
 func (s *Service) hookSplices(slot int, spec *chainSpec) {
 	for _, cr := range spec.members {

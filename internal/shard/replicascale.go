@@ -8,8 +8,6 @@ import (
 	"netmem/internal/des"
 	"netmem/internal/dfs"
 	"netmem/internal/fstore"
-	"netmem/internal/model"
-	"netmem/internal/rmem"
 )
 
 // Replica read scaling (the PR's Figure-3 analogue): a fleet of reader
@@ -69,73 +67,44 @@ func RunReplicaScale(replicas, readers int) (*ReplicaScalePoint, error) {
 		return nil, fmt.Errorf("shard: replica scale needs replicas >= 1 and readers >= 1")
 	}
 	pt := &ReplicaScalePoint{Replicas: replicas, Readers: readers, Window: replicaScaleWindow}
-	env := des.NewEnv()
 	nodes := 2 + readers + replicas
-	cl := cluster.New(env, &model.Default, nodes)
-	mgrs := make([]*rmem.Manager, nodes)
-	for i := range mgrs {
-		mgrs[i] = rmem.NewManager(cl.Nodes[i])
-	}
-
+	leg := dfs.NewLeg(nil, 0, nodes)
+	env, primary := leg.Env, leg.Cluster.Nodes[0]
 	var svc *Service
 	var writer *Clerk
 	readerClerks := make([]*Clerk, readers)
 	var hot, wfile fstore.Handle
-	var setupErr error
-	env.Spawn("replicascale.setup", func(p *des.Proc) {
-		svc = NewService(p, mgrs[:1], nodes, dfs.Geometry{}, dfs.WithReliableReplies())
-		writer = NewClerk(p, mgrs[1], svc, dfs.DX, WithTokenCache())
+	err := leg.Setup("replicascale.setup", replicaScaleWarm, func(p *des.Proc) (err error) {
+		svc = NewService(p, leg.Mgrs[:1], nodes, dfs.Geometry{}, dfs.WithReliableReplies())
+		writer = NewClerk(p, leg.Mgrs[1], svc, dfs.DX, WithTokenCache())
 		for i := range readerClerks {
-			readerClerks[i] = NewClerk(p, mgrs[2+i], svc, dfs.DX, WithTokenCache())
+			readerClerks[i] = NewClerk(p, leg.Mgrs[2+i], svc, dfs.DX, WithTokenCache())
 		}
 		hotPat := make([]byte, replicaScaleHotSize)
 		for i := range hotPat {
 			hotPat[i] = byte(i*13 + 7)
 		}
-		var err error
 		if hot, err = svc.Store.WriteFile("/export/hot.bin", hotPat); err != nil {
-			setupErr = err
-			return
+			return err
 		}
 		if wfile, err = svc.Store.WriteFile("/export/load.bin", make([]byte, fstore.BlockSize)); err != nil {
-			setupErr = err
-			return
+			return err
 		}
 		if err := svc.WarmFile(hot); err != nil {
-			setupErr = err
-			return
+			return err
 		}
 		if err := svc.WarmFile(wfile); err != nil {
-			setupErr = err
-			return
+			return err
 		}
-		if err := svc.AttachReplicas(p, 0, mgrs[2+readers:], 100*time.Microsecond); err != nil {
-			setupErr = err
-			return
+		if err := svc.AttachReplicas(p, 0, leg.Mgrs[2+readers:], 100*time.Microsecond); err != nil {
+			return err
 		}
-		// Wait for the chain to converge on the warm frames so the first
-		// measured reads find every member serving.
-		for tries := 0; tries < 200; tries++ {
-			p.Sleep(des.Duration(time.Millisecond))
-			lo, hi := ^uint64(0), uint64(0)
-			for _, cr := range svc.Replicas(0) {
-				if a := cr.Applied(); a < lo {
-					lo = a
-				}
-				if a := cr.Applied(); a > hi {
-					hi = a
-				}
-			}
-			if lo == hi && lo > 0 {
-				break
-			}
-		}
+		// The first measured reads must find every member serving.
+		svc.awaitChain(p, 0)
+		return nil
 	})
-	if err := env.RunUntil(des.Time(replicaScaleWarm)); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if setupErr != nil {
-		return nil, setupErr
 	}
 
 	start := des.Time(replicaScaleWarm + 10*time.Millisecond)
@@ -144,11 +113,11 @@ func RunReplicaScale(replicas, readers int) (*ReplicaScalePoint, error) {
 	var readErr error
 	var cpuBefore, pushBefore time.Duration // CPU accrued on the primary before the window
 	servingCPU := func() time.Duration {
-		acct := cl.Nodes[0].CPUAcct
+		acct := primary.CPUAcct
 		return time.Duration(acct[cluster.CatProc] + acct[cluster.CatControl])
 	}
 	clientCPU := func() time.Duration {
-		return time.Duration(cl.Nodes[0].CPUAcct[cluster.CatClient])
+		return time.Duration(primary.CPUAcct[cluster.CatClient])
 	}
 
 	// The writer's constant load: dirty a block, then a Sync RPC — the

@@ -3,23 +3,34 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 )
 
-// sketchVsExact feeds the same samples to a Sketch and an exact Histogram
-// and asserts the sketch quantiles land within relTol of the exact
-// nearest-rank values.
+// exactQuantile is the nearest-rank q-quantile of sorted: the smallest
+// sample such that at least q·n samples are <= it — the exact reference
+// the sketch estimates.
+func exactQuantile(sorted []int64, q float64) int64 {
+	rank := int(math.Ceil(q * float64(len(sorted))))
+	return sorted[max(rank, 1)-1]
+}
+
+// sketchVsExact feeds samples to a Sketch and asserts its quantiles land
+// within relTol of the exact nearest-rank values.
 func sketchVsExact(t *testing.T, name string, samples []int64, relTol float64) {
 	t.Helper()
 	var sk Sketch
-	var ex Histogram
+	var sum int64
 	for _, v := range samples {
 		sk.Observe(v)
-		ex.Observe(float64(v))
+		sum += v
 	}
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
 		got := float64(sk.Quantile(q))
-		want := ex.Quantile(q)
+		want := float64(exactQuantile(sorted, q))
 		if want == 0 {
 			if got != 0 {
 				t.Errorf("%s q=%v: got %v, want 0", name, q, got)
@@ -34,11 +45,11 @@ func sketchVsExact(t *testing.T, name string, samples []int64, relTol float64) {
 	if sk.Count() != int64(len(samples)) {
 		t.Errorf("%s: count %d, want %d", name, sk.Count(), len(samples))
 	}
-	if sk.Min() != int64(ex.Min()) || sk.Max() != int64(ex.Max()) {
-		t.Errorf("%s: min/max %d/%d, want %v/%v", name, sk.Min(), sk.Max(), ex.Min(), ex.Max())
+	if sk.Min() != sorted[0] || sk.Max() != sorted[len(sorted)-1] {
+		t.Errorf("%s: min/max %d/%d, want %d/%d", name, sk.Min(), sk.Max(), sorted[0], sorted[len(sorted)-1])
 	}
-	if math.Abs(sk.Mean()-ex.Mean()) > 1e-6*math.Abs(ex.Mean())+1e-9 {
-		t.Errorf("%s: mean %v, want %v", name, sk.Mean(), ex.Mean())
+	if mean := float64(sum) / float64(len(samples)); math.Abs(sk.Mean()-mean) > 1e-6*math.Abs(mean)+1e-9 {
+		t.Errorf("%s: mean %v, want %v", name, sk.Mean(), mean)
 	}
 }
 
@@ -85,6 +96,71 @@ func TestSketchExactBelowSubBuckets(t *testing.T) {
 	}
 	if got := s.Quantile(0); got != 0 {
 		t.Errorf("min: got %d, want 0", got)
+	}
+}
+
+// TestSketchSmallQuantiles: below 2^7 every value has its own bucket, so a
+// small latency histogram's quantiles are exact and independent of the
+// order samples arrive in.
+func TestSketchSmallQuantiles(t *testing.T) {
+	var s Sketch
+	for i := 0; i < 100; i++ {
+		s.Observe(int64((i*37)%100 + 1)) // 1..100, scrambled
+	}
+	for _, c := range []struct {
+		q    float64
+		want int64
+	}{{0, 1}, {0.01, 1}, {0.5, 50}, {0.95, 95}, {0.99, 99}, {1, 100}} {
+		if got := s.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%v) = %d, want %d", c.q, got, c.want)
+		}
+	}
+	if s.Min() != 1 || s.Max() != 100 || s.Count() != 100 || s.Sum() != 5050 || s.Mean() != 50.5 {
+		t.Errorf("min/max/count/sum/mean = %d/%d/%d/%d/%v", s.Min(), s.Max(), s.Count(), s.Sum(), s.Mean())
+	}
+}
+
+// The TestHistogram* cases pin the latency-histogram contract the obs
+// layer relies on; Sketch is that histogram.
+
+// TestHistogramEmpty: the zero value reports zeros everywhere.
+func TestHistogramEmpty(t *testing.T) {
+	var s Sketch
+	if s.Count() != 0 || s.Sum() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
+		t.Fatal("empty histogram not zero")
+	}
+	if s.Quantile(0.5) != 0 || s.P50() != 0 || s.P99() != 0 || s.P999() != 0 {
+		t.Fatal("empty quantile not zero")
+	}
+}
+
+// TestHistogramSingleSample: quantiles clamp to the exact observed range,
+// so one sample reports itself at every q.
+func TestHistogramSingleSample(t *testing.T) {
+	var s Sketch
+	s.ObserveDuration(42 * time.Microsecond)
+	want := int64(42 * time.Microsecond)
+	for _, q := range []float64{0, 0.5, 0.95, 1} {
+		if got := s.Quantile(q); got != want {
+			t.Errorf("Quantile(%v) = %d, want %d", q, got, want)
+		}
+	}
+}
+
+// TestHistogramObserveAfterQuantile: reading a quantile does not freeze
+// the histogram; a later, smaller sample still moves the minimum.
+func TestHistogramObserveAfterQuantile(t *testing.T) {
+	var s Sketch
+	s.Observe(10)
+	if s.P50() != 10 {
+		t.Fatal("p50 of one sample")
+	}
+	s.Observe(1)
+	if s.Min() != 1 || s.Max() != 10 {
+		t.Fatalf("min/max after late observe = %d/%d", s.Min(), s.Max())
+	}
+	if s.P50() != 1 {
+		t.Fatalf("p50 after late observe = %d, want 1", s.P50())
 	}
 }
 
@@ -138,7 +214,7 @@ func TestSketchDeterministic(t *testing.T) {
 // TestSketchEmptyAndNegative covers the zero value and clamping.
 func TestSketchEmptyAndNegative(t *testing.T) {
 	var s Sketch
-	if s.Quantile(0.5) != 0 || s.Count() != 0 || s.Mean() != 0 {
+	if s.Quantile(0.5) != 0 || s.Count() != 0 || s.Sum() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Error("empty sketch must report zeros")
 	}
 	s.Observe(-5)

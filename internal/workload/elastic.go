@@ -4,13 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"netmem/internal/cluster"
 	"netmem/internal/des"
 	"netmem/internal/dfs"
 	"netmem/internal/fstore"
-	"netmem/internal/model"
-	"netmem/internal/obs"
-	"netmem/internal/rmem"
 	"netmem/internal/shard"
 )
 
@@ -97,63 +93,31 @@ func (c *ElasticConfig) fill() {
 	if c.Hold <= 0 {
 		c.Hold = 150 * time.Millisecond
 	}
-	if c.ThinkTime < 0 {
-		c.ThinkTime = 0
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Dirs <= 0 {
-		c.Dirs = 4
-	}
-	if c.PerDir <= 0 {
-		c.PerDir = 8
-	}
+	loopDefaults(&c.ThinkTime, &c.Seed, &c.Dirs, &c.PerDir)
 }
 
 // RunElastic executes the sweep: shard slots on nodes 0..Peak-1 (only
 // StartShards live at boot), clients on the nodes after.
 func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 	cfg.fill()
-	env := des.NewEnv()
-	env.Seed(cfg.Seed)
-	tr := obs.New(obs.Config{})
-	env.SetTracer(tr)
 	nodes := cfg.PeakShards + cfg.Clients
-	cl := cluster.New(env, &model.Default, nodes)
-	mgrs := make([]*rmem.Manager, nodes)
-	for i := range mgrs {
-		mgrs[i] = rmem.NewManager(cl.Nodes[i])
-	}
-
+	leg := dfs.NewLeg(nil, cfg.Seed, nodes)
+	cl := leg.Cluster
 	var svc *shard.Service
 	var mgr *shard.Manager
 	var tree *Tree
-	var setupErr error
-	clerks := make([]*shard.Clerk, cfg.Clients)
-	env.Spawn("setup", func(p *des.Proc) {
-		svc = shard.NewService(p, mgrs[:cfg.StartShards], nodes, dfs.Geometry{})
-		mgr = shard.NewManager(svc, mgrs[cfg.StartShards:cfg.PeakShards], shard.ManagerConfig{})
-		tree, setupErr = BuildTreeOn(svc.Store, svc, cfg.Dirs, cfg.PerDir)
-		if setupErr != nil {
-			return
+	var clerks []*shard.Clerk
+	err := leg.Setup("setup", 500*time.Millisecond, func(p *des.Proc) (err error) {
+		svc = shard.NewService(p, leg.Mgrs[:cfg.StartShards], nodes, dfs.Geometry{})
+		mgr = shard.NewManager(svc, leg.Mgrs[cfg.StartShards:cfg.PeakShards], shard.ManagerConfig{})
+		if tree, err = BuildTreeOn(svc.Store, svc, cfg.Dirs, cfg.PerDir); err != nil {
+			return err
 		}
-		var copts []shard.ClerkOption
-		if cfg.TokenCache {
-			copts = append(copts, shard.WithTokenCache())
-		}
-		for i := 0; i < cfg.Clients; i++ {
-			clerks[i] = shard.NewClerk(p, mgrs[cfg.PeakShards+i], svc, cfg.Mode, copts...)
-		}
-		if cfg.TokenCache {
-			shard.ConnectTokenPeers(p, clerks...)
-		}
+		clerks = shardClerks(p, leg.Mgrs[cfg.PeakShards:], svc, cfg.Mode, cfg.TokenCache)
+		return nil
 	})
-	if err := env.RunUntil(des.Time(500 * time.Millisecond)); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if setupErr != nil {
-		return nil, setupErr
 	}
 
 	var keys []fstore.Handle
@@ -162,24 +126,9 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 	keys = append(keys, tree.Links...)
 
 	res := &ElasticResult{Mode: cfg.Mode, TokenCache: cfg.TokenCache, Keys: len(keys)}
-	// box is the current plateau's recorder; the driver swaps in a fresh one
-	// at each phase boundary (single-threaded DES: no races). Clients rebind
-	// their Replayer to it every iteration, so each op lands in the plateau
-	// that was live when it completed.
-	box := NewRecorder()
-	stop := false
-	for i := 0; i < cfg.Clients; i++ {
-		i := i
-		env.SpawnDaemon(fmt.Sprintf("client%d", i), func(p *des.Proc) {
-			gen := NewGenerator(cfg.Seed+int64(i), len(tree.Files), len(tree.Dirs))
-			rep := &Replayer{Clerk: clerks[i], Tree: tree}
-			for !stop {
-				rep.Rec = box
-				_ = rep.Do(p, gen.Next()) // failures land in box.Failed
-				p.Sleep(cfg.ThinkTime)
-			}
-		})
-	}
+	// Failures do not stop the clients: they land in the plateau's
+	// recorder, which the sweep swaps at each phase boundary.
+	cs := startClients(leg.Env, clerks, tree, cfg.Seed, cfg.ThinkTime, false)
 
 	// The sweep: StartShards → PeakShards → StartShards, one at a time.
 	var sweep []int
@@ -192,8 +141,8 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 
 	var sweepErr error
 	holdUtil := make(map[int]float64) // node → util in its last hold window
-	env.Spawn("sweep", func(p *des.Proc) {
-		defer func() { stop = true }()
+	leg.Env.Spawn("sweep", func(p *des.Proc) {
+		defer func() { cs.stop = true }()
 		for _, target := range sweep {
 			var step ElasticStep
 			step.Target = target
@@ -201,7 +150,7 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 			// keys migrate land in the plateau they cut over into, so the
 			// plateau's tail includes migration-inflated latencies instead
 			// of silently dropping them.
-			box = NewRecorder()
+			cs.rec = NewRecorder()
 			if target != svc.Size() {
 				pre := svc.Ring.Clone()
 				// Donors: on a join every pre-member pushes; on a drain only
@@ -274,7 +223,7 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 				step.MeanUtil += u
 			}
 			step.MeanUtil /= float64(ring.Size())
-			st := &box.Tenants[0]
+			st := &cs.rec.Tenants[0]
 			step.Ops = st.Ops
 			step.Failed = st.Failed
 			step.P99Ms = ms(st.Lat.P99())
@@ -294,17 +243,14 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 	})
 
 	horizon := des.Time(time.Duration(len(sweep)+2) * (cfg.Hold + time.Second))
-	if err := env.RunUntil(horizon); err != nil {
+	if err := leg.Env.RunUntil(horizon); err != nil {
 		return nil, err
 	}
 	if sweepErr != nil {
 		return nil, sweepErr
 	}
-	if setupErr != nil {
-		return nil, setupErr
-	}
 	res.Cutovers = svc.Cutovers
 	res.MigratedTotal = svc.MigratedBuckets
-	res.Events = env.Events()
+	res.Events = leg.Env.Events()
 	return res, nil
 }

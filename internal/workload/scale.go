@@ -1,14 +1,10 @@
 package workload
 
 import (
-	"fmt"
 	"time"
 
-	"netmem/internal/cluster"
 	"netmem/internal/des"
 	"netmem/internal/dfs"
-	"netmem/internal/model"
-	"netmem/internal/rmem"
 )
 
 // The scalability experiment extends §3's argument to a measurement: "if
@@ -48,91 +44,47 @@ func (c *ScaleConfig) fill() {
 	if c.Window <= 0 {
 		c.Window = 2 * time.Second
 	}
-	if c.ThinkTime < 0 {
-		c.ThinkTime = 0
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Dirs <= 0 {
-		c.Dirs = 4
-	}
-	if c.PerDir <= 0 {
-		c.PerDir = 8
-	}
+	loopDefaults(&c.ThinkTime, &c.Seed, &c.Dirs, &c.PerDir)
 }
 
-// RunScale executes one scalability measurement.
+// RunScale executes one scalability measurement: the server on node 0,
+// client i on node i+1. All clients report through one shared Recorder —
+// the same accounting path the open-loop engine uses — so both loop styles
+// emit the same stat schema.
 func RunScale(cfg ScaleConfig) (ScalePoint, error) {
 	cfg.fill()
-	env := des.NewEnv()
-	cl := cluster.New(env, &model.Default, cfg.Clients+1)
-	ms := rmem.NewManager(cl.Nodes[0])
-
+	leg := dfs.NewLeg(nil, 0, cfg.Clients+1)
 	var srv *dfs.Server
 	var tree *Tree
-	var setupErr error
 	clerks := make([]*dfs.Clerk, cfg.Clients)
-	env.Spawn("setup", func(p *des.Proc) {
-		srv = dfs.NewServer(p, ms, cfg.Clients+1, dfs.Geometry{})
-		tree, setupErr = BuildTree(srv, cfg.Dirs, cfg.PerDir)
-		if setupErr != nil {
-			return
+	err := leg.Setup("setup", 500*time.Millisecond, func(p *des.Proc) (err error) {
+		srv = dfs.NewServer(p, leg.Mgrs[0], cfg.Clients+1, dfs.Geometry{})
+		if tree, err = BuildTree(srv, cfg.Dirs, cfg.PerDir); err != nil {
+			return err
 		}
-		for i := 0; i < cfg.Clients; i++ {
-			mc := rmem.NewManager(cl.Nodes[i+1])
-			clerks[i] = dfs.NewClerk(p, mc, srv, cfg.Mode)
+		for i := range clerks {
+			clerks[i] = dfs.NewClerk(p, leg.Mgrs[i+1], srv, cfg.Mode)
 		}
+		return nil
 	})
-	if err := env.RunUntil(des.Time(500 * time.Millisecond)); err != nil {
+	if err != nil {
 		return ScalePoint{}, err
 	}
-	if setupErr != nil {
-		return ScalePoint{}, setupErr
-	}
 
-	// Launch closed-loop clients as daemons; measure over a fixed window.
-	// All clients report through one shared Recorder — the same accounting
-	// path the open-loop engine uses — so both loop styles emit the same
-	// stat schema.
-	rec := NewRecorder()
-	start := env.Now()
+	start := leg.Env.Now()
 	srv.Node().ResetCPUAcct()
-	for i := 0; i < cfg.Clients; i++ {
-		i := i
-		env.SpawnDaemon(fmt.Sprintf("client%d", i), func(p *des.Proc) {
-			gen := NewGenerator(cfg.Seed+int64(i), len(tree.Files), len(tree.Dirs))
-			rep := &Replayer{Clerk: clerks[i], Tree: tree, Rec: rec}
-			for {
-				op := gen.Next()
-				if err := rep.Do(p, op); err != nil {
-					setupErr = fmt.Errorf("client %d: %v: %w", i, op.Activity, err)
-					return
-				}
-				p.Sleep(cfg.ThinkTime)
-			}
-		})
-	}
-	if err := env.RunUntil(start.Add(cfg.Window)); err != nil {
+	lp, err := startClients(leg.Env, clerks, tree, cfg.Seed, cfg.ThinkTime, true).window(leg.Env, start, cfg.Window)
+	if err != nil {
 		return ScalePoint{}, err
 	}
-	if setupErr != nil {
-		return ScalePoint{}, setupErr
-	}
-
-	elapsed := time.Duration(env.Now().Sub(start))
-	st := &rec.Tenants[0]
-	pt := ScalePoint{
+	return ScalePoint{
 		Mode:       cfg.Mode,
 		Clients:    cfg.Clients,
-		OpsDone:    st.Ops,
-		OpsPerSec:  float64(st.Ops) / elapsed.Seconds(),
+		OpsDone:    lp.Ops,
+		OpsPerSec:  lp.OpsPerSec,
 		ServerUtil: srv.Node().CPU.Utilization(start),
-		Events:     env.Events(),
-	}
-	if st.Ops > 0 {
-		pt.MeanLatMs = (st.SumLat / time.Duration(st.Ops)).Seconds() * 1000
-		pt.P99Ms = float64(st.Lat.P99()) / 1e6
-	}
-	return pt, nil
+		MeanLatMs:  lp.MeanLatMs,
+		P99Ms:      lp.P99Ms,
+		Events:     leg.Env.Events(),
+	}, nil
 }

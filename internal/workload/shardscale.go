@@ -1,14 +1,10 @@
 package workload
 
 import (
-	"fmt"
 	"time"
 
-	"netmem/internal/cluster"
 	"netmem/internal/des"
 	"netmem/internal/dfs"
-	"netmem/internal/model"
-	"netmem/internal/rmem"
 	"netmem/internal/shard"
 )
 
@@ -57,18 +53,7 @@ func (c *ShardScaleConfig) fill() {
 	if c.Window <= 0 {
 		c.Window = 2 * time.Second
 	}
-	if c.ThinkTime < 0 {
-		c.ThinkTime = 0
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Dirs <= 0 {
-		c.Dirs = 4
-	}
-	if c.PerDir <= 0 {
-		c.PerDir = 8
-	}
+	loopDefaults(&c.ThinkTime, &c.Seed, &c.Dirs, &c.PerDir)
 }
 
 // RunShardScale executes one sharded scalability measurement: shard nodes
@@ -76,95 +61,49 @@ func (c *ShardScaleConfig) fill() {
 func RunShardScale(cfg ShardScaleConfig) (ShardScalePoint, error) {
 	cfg.fill()
 	clients := cfg.Shards * cfg.ClientsPerShard
-	env := des.NewEnv()
 	nodes := cfg.Shards + clients
-	cl := cluster.New(env, &model.Default, nodes)
-	mgrs := make([]*rmem.Manager, nodes)
-	for i := range mgrs {
-		mgrs[i] = rmem.NewManager(cl.Nodes[i])
-	}
-
-	var svc *shard.Service
+	leg := dfs.NewLeg(nil, 0, nodes)
 	var tree *Tree
-	var setupErr error
-	clerks := make([]*shard.Clerk, clients)
-	env.Spawn("setup", func(p *des.Proc) {
-		svc = shard.NewService(p, mgrs[:cfg.Shards], nodes, dfs.Geometry{})
-		tree, setupErr = BuildTreeOn(svc.Store, svc, cfg.Dirs, cfg.PerDir)
-		if setupErr != nil {
-			return
+	var clerks []*shard.Clerk
+	err := leg.Setup("setup", 500*time.Millisecond, func(p *des.Proc) (err error) {
+		svc := shard.NewService(p, leg.Mgrs[:cfg.Shards], nodes, dfs.Geometry{})
+		if tree, err = BuildTreeOn(svc.Store, svc, cfg.Dirs, cfg.PerDir); err != nil {
+			return err
 		}
-		var copts []shard.ClerkOption
-		if cfg.TokenCache {
-			copts = append(copts, shard.WithTokenCache())
-		}
-		for i := 0; i < clients; i++ {
-			clerks[i] = shard.NewClerk(p, mgrs[cfg.Shards+i], svc, cfg.Mode, copts...)
-		}
-		if cfg.TokenCache {
-			shard.ConnectTokenPeers(p, clerks...)
-		}
+		clerks = shardClerks(p, leg.Mgrs[cfg.Shards:], svc, cfg.Mode, cfg.TokenCache)
+		return nil
 	})
-	if err := env.RunUntil(des.Time(500 * time.Millisecond)); err != nil {
+	if err != nil {
 		return ShardScalePoint{}, err
 	}
-	if setupErr != nil {
-		return ShardScalePoint{}, setupErr
-	}
 
-	rec := NewRecorder()
-	start := env.Now()
-	for i := 0; i < cfg.Shards; i++ {
-		cl.Nodes[i].ResetCPUAcct()
+	start := leg.Env.Now()
+	shardNodes := leg.Cluster.Nodes[:cfg.Shards]
+	for _, n := range shardNodes {
+		n.ResetCPUAcct()
 	}
-	for i := 0; i < clients; i++ {
-		i := i
-		env.SpawnDaemon(fmt.Sprintf("client%d", i), func(p *des.Proc) {
-			gen := NewGenerator(cfg.Seed+int64(i), len(tree.Files), len(tree.Dirs))
-			// LocalCaching stays off for parity with RunScale: every op
-			// flushes the sub-clerk caches. The token-coherent block cache
-			// survives FlushLocal by design, so TokenCache still shows up —
-			// as reads the servers never see.
-			rep := &Replayer{Clerk: clerks[i], Tree: tree, Rec: rec}
-			for {
-				op := gen.Next()
-				if err := rep.Do(p, op); err != nil {
-					setupErr = fmt.Errorf("client %d: %v: %w", i, op.Activity, err)
-					return
-				}
-				p.Sleep(cfg.ThinkTime)
-			}
-		})
-	}
-	if err := env.RunUntil(start.Add(cfg.Window)); err != nil {
+	lp, err := startClients(leg.Env, clerks, tree, cfg.Seed, cfg.ThinkTime, true).window(leg.Env, start, cfg.Window)
+	if err != nil {
 		return ShardScalePoint{}, err
 	}
-	if setupErr != nil {
-		return ShardScalePoint{}, setupErr
-	}
-
-	elapsed := time.Duration(env.Now().Sub(start))
-	st := &rec.Tenants[0]
 	pt := ShardScalePoint{
-		Mode:    cfg.Mode,
-		Shards:  cfg.Shards,
-		Clients: clients,
-		OpsDone: st.Ops,
-		Events:  env.Events(),
+		Mode:      cfg.Mode,
+		Shards:    cfg.Shards,
+		Clients:   clients,
+		OpsDone:   lp.Ops,
+		OpsPerSec: lp.OpsPerSec,
+		MeanLatMs: lp.MeanLatMs,
+		P99Ms:     lp.P99Ms,
+		Events:    leg.Env.Events(),
 	}
-	pt.OpsPerSec = float64(st.Ops) / elapsed.Seconds()
-	for i := 0; i < cfg.Shards; i++ {
-		u := cl.Nodes[i].CPU.Utilization(start)
+	for _, n := range shardNodes {
+		u := n.CPU.Utilization(start)
 		pt.ShardUtil = append(pt.ShardUtil, u)
 		pt.MeanUtil += u
 	}
 	pt.MeanUtil /= float64(cfg.Shards)
 	for _, c := range clerks {
 		pt.TokenHits += c.TokenHits
-	}
-	if st.Ops > 0 {
-		pt.MeanLatMs = (st.SumLat / time.Duration(st.Ops)).Seconds() * 1000
-		pt.P99Ms = ms(st.Lat.P99())
 	}
 	return pt, nil
 }
