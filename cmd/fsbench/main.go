@@ -491,8 +491,12 @@ func printChaos(res *dfs.ChaosResult, metrics bool, details func()) {
 	fmt.Printf("goodput %d/%d ops byte-correct (%.0f%%); retries %d, giveups %d\n",
 		res.Completed, len(res.Ops), res.Goodput()*100, res.Retries, res.Giveups)
 	if res.FailedOver {
-		fmt.Printf("failover: MTTR %s, availability %.2f%% of %s window; %d rebind step(s), %d op(s) replayed\n",
-			stats.Ms(res.MTTR), res.Availability()*100, stats.Ms(res.Window), res.Rebinds, res.Replays)
+		avail := fmt.Sprintf("availability %.2f%% of %s window", res.Availability()*100, stats.Ms(res.Window))
+		if res.Window == 0 {
+			avail = "mix unfinished at the horizon"
+		}
+		fmt.Printf("failover: MTTR %s, %s; %d rebind step(s), %d op(s) replayed\n",
+			stats.Ms(res.MTTR), avail, res.Rebinds, res.Replays)
 	}
 	if details != nil {
 		details()

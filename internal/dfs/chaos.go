@@ -82,7 +82,8 @@ type ChaosResult struct {
 	// otherwise). MTTR runs from the last heartbeat that proved the
 	// primary alive to the moment the clerk was rebound to the promoted
 	// standby; Window is the mix's wall-clock, so 1−MTTR/Window is the
-	// measured availability.
+	// measured availability. Window is zero when the mix did not finish
+	// before the rig's horizon.
 	FailedOver bool
 	MTTR       time.Duration
 	Window     time.Duration
@@ -212,6 +213,9 @@ func (l *Leg) Result(campaign string, mode Mode, base *Leg, recs ...*recovery.Co
 		res.Rebinds += rec.Rebinds
 	}
 	for i, op := range l.Ops {
+		if op.Label == "" {
+			op.Label, op.Err = Figure2Ops[i].Label, "not run: mix unfinished at the horizon"
+		}
 		op.Baseline = base.Ops[i].Chaos
 		res.Ops = append(res.Ops, op)
 		if op.OK {
@@ -498,16 +502,10 @@ func NewServerPlane(p *des.Proc, ms, mc *rmem.Manager, nodes int, mode Mode, see
 // standby takeover, then clerk rebind. guard, when non-nil, readies the
 // successor before it goes live. Start detection with rec.Watch(hb, 0).
 func (d *ServerPlane) ArmFailover(p *des.Proc, msb *rmem.Manager, nodes int, cfg recovery.Config, guard func(*des.Proc, *Server) error) (rec *recovery.Coordinator, hb *rmem.Import) {
-	ms, mc := d.Srv.m, d.Clerk.m
 	standby := NewStandby(p, msb, d.Srv.Geo)
 	d.Srv.AttachStandby(p, standby, 100*time.Microsecond)
 
-	seg := ms.Export(p, 8)
-	seg.SetDefaultRights(rmem.RightRead)
-	rmem.StartHeartbeat(ms, seg, 0, 100*time.Microsecond)
-	hb = mc.Import(p, ms.Node.ID, seg.ID(), seg.Gen(), 8)
-
-	rec = recovery.New(mc, ms.Node.ID, cfg)
+	rec, hb = recovery.Arm(p, d.Srv.m, d.Clerk.m, 100*time.Microsecond, cfg)
 	rec.OnFailover("standby.takeover", func(p *des.Proc) error {
 		srv, err := standby.TakeOver(p, d.Srv.Store, nodes, WithReliableReplies())
 		if err == nil && guard != nil {

@@ -123,6 +123,19 @@ func New(m *rmem.Manager, peer int, cfg Config) *Coordinator {
 	return &Coordinator{m: m, peer: peer, cfg: cfg, q: des.NewWaitQueue(m.Node.Env)}
 }
 
+// Arm builds the §3.7 detector for primary: it exports the primary's
+// 8-byte heartbeat word, starts it beating every interval, imports the
+// word on watcher's node and creates the watcher's coordinator for the
+// primary. Register the failover steps, then start detection with
+// rec.Watch(hb, 0).
+func Arm(p *des.Proc, primary, watcher *rmem.Manager, interval des.Duration, cfg Config) (rec *Coordinator, hb *rmem.Import) {
+	seg := primary.Export(p, 8)
+	seg.SetDefaultRights(rmem.RightRead)
+	rmem.StartHeartbeat(primary, seg, 0, interval)
+	hb = watcher.Import(p, primary.Node.ID, seg.ID(), seg.Gen(), 8)
+	return New(watcher, primary.Node.ID, cfg), hb
+}
+
 // FenceNames registers name-service clerks to fence on the verdict (and
 // unfence once recovery completes, when the peer's new incarnation is
 // lookup-able again).

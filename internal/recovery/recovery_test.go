@@ -32,15 +32,12 @@ func newRig(t *testing.T, seed int64, camp faults.Campaign, cfg recovery.Config,
 	cl := cluster.New(env, &model.Default, 2, cluster.WithFaultEngine(eng))
 	r := &rig{env: env, m0: rmem.NewManager(cl.Nodes[0]), m1: rmem.NewManager(cl.Nodes[1])}
 	env.Spawn("setup", func(p *des.Proc) {
-		hb := r.m0.Export(p, 8)
-		hb.SetDefaultRights(rmem.RightRead)
-		rmem.StartHeartbeat(r.m0, hb, 0, 100*time.Microsecond)
-		imp := r.m1.Import(p, 0, hb.ID(), hb.Gen(), 8)
-		r.rec = recovery.New(r.m1, 0, cfg)
+		rec, hb := recovery.Arm(p, r.m0, r.m1, 100*time.Microsecond, cfg)
 		for _, s := range steps {
-			r.rec.OnFailover(s.Name, s.Run)
+			rec.OnFailover(s.Name, s.Run)
 		}
-		r.rec.Watch(imp, 0)
+		rec.Watch(hb, 0)
+		r.rec = rec
 	})
 	return r
 }

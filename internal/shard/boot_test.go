@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -112,5 +113,84 @@ func TestAwaitNSBackoff(t *testing.T) {
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A membership record too short for its own header must fail every
+// resolve with an error; the reader used to index it unchecked and panic.
+func TestResolveRingShortRecord(t *testing.T) {
+	env := des.NewEnv()
+	cl := cluster.New(env, &model.Default, 2)
+	mgrs := []*rmem.Manager{rmem.NewManager(cl.Nodes[0]), rmem.NewManager(cl.Nodes[1])}
+	var errs []error
+	env.Spawn("setup", func(p *des.Proc) {
+		peers := []int{0, 1}
+		names := []*nameserver.Clerk{
+			nameserver.New(mgrs[0], peers, nameserver.Config{}),
+			nameserver.New(mgrs[1], peers, nameserver.Config{}),
+		}
+		p.Sleep(time.Millisecond)
+		seg := mgrs[0].Export(p, 4)
+		seg.SetDefaultRights(rmem.RightRead)
+		if err := names[0].Register(p, ringName, seg); err != nil {
+			t.Error(err)
+			return
+		}
+		_, _, _, err := ResolveRing(p, mgrs[1], names[1], 0)
+		errs = append(errs, err)
+		_, _, _, err = ResolveRingAny(p, mgrs[1], names[1], []int{0})
+		errs = append(errs, err)
+		_, err = ResolveRingChains(p, mgrs[1], names[1], 0)
+		errs = append(errs, err)
+	})
+	if err := env.RunUntil(des.Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if len(errs) != 3 {
+		t.Fatalf("resolves did not all return: %v", errs)
+	}
+	for i, err := range errs {
+		if err == nil {
+			t.Errorf("resolve %d accepted a 4-byte membership record", i)
+		}
+	}
+}
+
+// parseRingBlob bounds-checks the member pairs and the chain section.
+func TestParseRingBlobBounds(t *testing.T) {
+	words := func(ws ...uint32) []byte {
+		var b []byte
+		for _, w := range ws {
+			b = binary.BigEndian.AppendUint32(b, w)
+		}
+		return b
+	}
+	base := words(16, 2, 7, 0, 10, 1, 11) // vnodes, 2 members, epoch 7, (0→10), (1→11)
+	for _, tc := range []struct {
+		name string
+		blob []byte
+		ok   bool
+	}{
+		{"pre-chain layout", base, true},
+		{"one chain", append(append([]byte(nil), base...), words(1, 0, 2, 20, 21)...), true},
+		{"short header", words(16, 2), false},
+		{"members past the end", words(16, 3, 7, 0, 10, 1, 11), false},
+		{"truncated chain header", append(append([]byte(nil), base...), words(1, 0)...), false},
+		{"truncated chain members", append(append([]byte(nil), base...), words(1, 0, 3, 20, 21)...), false},
+	} {
+		l, err := parseRingBlob(ringName, tc.blob)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		if !tc.ok {
+			continue
+		}
+		if l.epoch != 7 || l.ring.Size() != 2 || l.nodes[0] != 10 || l.nodes[1] != 11 {
+			t.Errorf("%s: parsed epoch %d size %d nodes %v", tc.name, l.epoch, l.ring.Size(), l.nodes)
+		}
+		if tc.name == "one chain" && (len(l.chains[0]) != 2 || l.chains[0][1] != 21) {
+			t.Errorf("%s: chains %v", tc.name, l.chains)
+		}
 	}
 }

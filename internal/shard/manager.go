@@ -2,145 +2,33 @@ package shard
 
 import (
 	"fmt"
-	"time"
 
 	"netmem/internal/des"
 	"netmem/internal/rmem"
 )
 
-// Manager is the elastic fleet's autoscaler: it watches per-shard CPU
-// occupancy through the obs ledger (every Node.UseCPU charge lands in a
-// "cpu.node<i>.<cat>" counter) and drives Service.AddShard/DrainShard to
-// keep the mean occupancy of the live shards inside a watermark band. The
-// decision input is deliberately the observability plane, not private
-// server state — anything that charges CPU on a shard node moves the
-// needle, exactly as an operator's dashboard would show it.
+// Manager sizes the elastic fleet: it holds the spare capacity and drives
+// Service.AddShard/DrainShard to a requested shard count. Joiners come
+// from the front of the pool; drains run LIFO, so the fleet contracts back
+// onto its founding members and a drained machine is the next to rejoin.
 type Manager struct {
 	svc  *Service
 	pool []*rmem.Manager // spare capacity, next joiner first
-	cfg  ManagerConfig
 
-	slotMgr  map[int]*rmem.Manager // live pool-owned slot → its manager
-	joined   []int                 // pool-owned slots, join order (drain LIFO)
-	lastBusy map[int]int64         // node id → cumulative busy ns at last sample
-	sampled  bool
-	cooldown int
+	slotMgr map[int]*rmem.Manager // live pool-owned slot → its manager
+	joined  []int                 // pool-owned slots, join order (drain LIFO)
 
 	// Stats.
 	Joins, Drains int64
-	LastOcc       float64 // mean live-shard occupancy at the last sample
 }
 
-// ManagerConfig tunes the autoscaler. Zero values select the defaults.
-type ManagerConfig struct {
-	Interval  des.Duration // sampling period (default 50ms)
-	HighWater float64      // join when mean occupancy exceeds this (default 0.70)
-	LowWater  float64      // drain when it falls below this (default 0.25)
-	MinShards int          // never drain below (default: the founding size)
-	MaxShards int          // never join beyond (default: founding + pool)
-	Cooldown  int          // samples to hold after a scaling action (default 2)
-}
-
-// NewManager builds an autoscaler over svc with the given spare capacity.
-func NewManager(svc *Service, pool []*rmem.Manager, cfg ManagerConfig) *Manager {
-	if cfg.Interval <= 0 {
-		cfg.Interval = des.Duration(50 * time.Millisecond)
-	}
-	if cfg.HighWater <= 0 {
-		cfg.HighWater = 0.70
-	}
-	if cfg.LowWater <= 0 {
-		cfg.LowWater = 0.25
-	}
-	if cfg.MinShards <= 0 {
-		cfg.MinShards = svc.Size()
-	}
-	if cfg.MaxShards <= 0 {
-		cfg.MaxShards = svc.Size() + len(pool)
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 2
-	}
+// NewManager builds a fleet manager over svc with the given spare capacity.
+func NewManager(svc *Service, pool []*rmem.Manager) *Manager {
 	return &Manager{
-		svc:      svc,
-		pool:     append([]*rmem.Manager(nil), pool...),
-		cfg:      cfg,
-		slotMgr:  make(map[int]*rmem.Manager),
-		lastBusy: make(map[int]int64),
+		svc:     svc,
+		pool:    append([]*rmem.Manager(nil), pool...),
+		slotMgr: make(map[int]*rmem.Manager),
 	}
-}
-
-// Start spawns the sampling daemon: one Step per interval, forever.
-func (a *Manager) Start(env *des.Env) {
-	env.SpawnDaemon("shard.autoscaler", func(p *des.Proc) {
-		for {
-			p.Sleep(a.cfg.Interval)
-			if _, err := a.Step(p); err != nil {
-				return
-			}
-		}
-	})
-}
-
-// Occupancy reads each live shard node's busy time from the obs counters
-// and returns the mean busy fraction since the previous sample. The first
-// call only establishes the baseline (returns 0, false).
-func (a *Manager) Occupancy(p *des.Proc) (float64, bool) {
-	env := a.svc.mb.env
-	snap := env.Tracer().Snapshot()
-	ring, _ := a.svc.mb.Current()
-	window := int64(a.cfg.Interval)
-	var sum float64
-	n := 0
-	for _, slot := range ring.Members() {
-		node := a.svc.NodeOf(slot)
-		busy := snap.CounterSum(fmt.Sprintf("cpu.node%d.", node))
-		if prev, ok := a.lastBusy[node]; ok && window > 0 {
-			f := float64(busy-prev) / float64(window)
-			if f > 1 {
-				f = 1
-			}
-			sum += f
-			n++
-		}
-		a.lastBusy[node] = busy
-	}
-	first := !a.sampled
-	a.sampled = true
-	if n == 0 || first {
-		return 0, false
-	}
-	return sum / float64(n), true
-}
-
-// Step takes one occupancy sample and applies the watermark policy:
-// occupancy above HighWater joins a spare shard, below LowWater drains the
-// most recent joiner (LIFO, so the fleet contracts back onto its founding
-// members). Returns whether the membership changed.
-func (a *Manager) Step(p *des.Proc) (bool, error) {
-	occ, ok := a.Occupancy(p)
-	if !ok {
-		return false, nil
-	}
-	a.LastOcc = occ
-	if a.cooldown > 0 {
-		a.cooldown--
-		return false, nil
-	}
-	switch {
-	case occ > a.cfg.HighWater && a.svc.Size() < a.cfg.MaxShards && len(a.pool) > 0:
-		if err := a.join(p); err != nil {
-			return false, err
-		}
-	case occ < a.cfg.LowWater && a.svc.Size() > a.cfg.MinShards && len(a.joined) > 0:
-		if err := a.drain(p); err != nil {
-			return false, err
-		}
-	default:
-		return false, nil
-	}
-	a.cooldown = a.cfg.Cooldown
-	return true, nil
 }
 
 func (a *Manager) join(p *des.Proc) error {
@@ -175,8 +63,8 @@ func (a *Manager) drain(p *des.Proc) error {
 }
 
 // ScaleTo joins or drains until the live shard count reaches n — the
-// deterministic sweep driver fsbench's elastic experiment uses (watermarks
-// bypassed; pool and LIFO bookkeeping shared with the policy path).
+// deterministic sweep driver fsbench's elastic experiment uses. It never
+// drains a founding member and never joins beyond the pool.
 func (a *Manager) ScaleTo(p *des.Proc, n int) error {
 	for a.svc.Size() < n {
 		if len(a.pool) == 0 {

@@ -1,80 +1,14 @@
 package shard
 
 import (
-	"fmt"
 	"testing"
 
 	"netmem/internal/des"
-	"netmem/internal/obs"
 )
-
-// chargeLive posts synthetic busy time against every live shard node's CPU
-// counter — the same "cpu.node<i>.<cat>" ledger Node.UseCPU feeds, so the
-// autoscaler cannot tell the difference.
-func chargeLive(tr *obs.Tracer, svc *Service, frac float64, window des.Duration) {
-	busy := int64(frac * float64(window))
-	ring, _ := svc.Membership().Current()
-	for _, slot := range ring.Members() {
-		tr.Count(fmt.Sprintf("cpu.node%d.synthetic", svc.NodeOf(slot)), busy)
-	}
-}
-
-func TestAutoscalerWatermarks(t *testing.T) {
-	r := newElasticRig(t, 2, 2, 1, 1)
-	tr := obs.New(obs.Config{})
-	r.env.SetTracer(tr)
-	mgr := NewManager(r.svc, r.mgrs[2:4], ManagerConfig{Cooldown: 1})
-	interval := mgr.cfg.Interval
-
-	r.run(t, func(p *des.Proc) {
-		// First sample only establishes the busy-ns baseline.
-		if changed, err := mgr.Step(p); err != nil || changed {
-			t.Fatalf("baseline step: changed=%v err=%v", changed, err)
-		}
-
-		// 90% synthetic occupancy: above the high watermark, so the next
-		// step joins a spare.
-		chargeLive(tr, r.svc, 0.9, interval)
-		changed, err := mgr.Step(p)
-		if err != nil || !changed {
-			t.Fatalf("hot step: changed=%v err=%v", changed, err)
-		}
-		if r.svc.Size() != 3 || mgr.Joins != 1 {
-			t.Fatalf("after hot step: size=%d joins=%d", r.svc.Size(), mgr.Joins)
-		}
-
-		// Still hot, but the join armed the cooldown: no action.
-		chargeLive(tr, r.svc, 0.9, interval)
-		if changed, err := mgr.Step(p); err != nil || changed {
-			t.Fatalf("cooldown step: changed=%v err=%v", changed, err)
-		}
-		if mgr.LastOcc < 0.70 {
-			t.Fatalf("cooldown step should still see hot occupancy, got %.2f", mgr.LastOcc)
-		}
-
-		// Idle sample below the low watermark: drain the joiner (LIFO).
-		if changed, err := mgr.Step(p); err != nil || !changed {
-			t.Fatalf("idle step: changed=%v err=%v", changed, err)
-		}
-		if r.svc.Size() != 2 || mgr.Drains != 1 {
-			t.Fatalf("after idle step: size=%d drains=%d", r.svc.Size(), mgr.Drains)
-		}
-
-		// Fleet is back at MinShards with no joiner left: further idle
-		// samples must not drain the founding members.
-		mgr.cooldown = 0
-		if changed, err := mgr.Step(p); err != nil || changed {
-			t.Fatalf("floor step: changed=%v err=%v", changed, err)
-		}
-		if r.svc.Size() != 2 {
-			t.Fatalf("floor violated: size=%d", r.svc.Size())
-		}
-	})
-}
 
 func TestAutoscalerScaleToBounds(t *testing.T) {
 	r := newElasticRig(t, 2, 1, 1, 1)
-	mgr := NewManager(r.svc, r.mgrs[2:3], ManagerConfig{})
+	mgr := NewManager(r.svc, r.mgrs[2:3])
 	r.run(t, func(p *des.Proc) {
 		if err := mgr.ScaleTo(p, 3); err != nil {
 			t.Fatalf("scale to 3: %v", err)

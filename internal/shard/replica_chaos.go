@@ -80,7 +80,8 @@ func RunReplicaLagChaos(cfg ReplicaChaosConfig) (*ReplicaChaosResult, error) {
 // never go idle, so running a replica rig to a generous fixed horizon
 // simulates millions of wakeups past the last useful event; the step
 // quantization keeps the stop point — and with it the executed-event
-// count — deterministic for a given seed.
+// count — deterministic for a given seed. A stop that never comes ends
+// the loop at the horizon.
 func runSteps(env *des.Env, step, horizon time.Duration, stop func() bool) error {
 	end := des.Time(horizon)
 	for !stop() && env.Now() < end {
@@ -88,8 +89,18 @@ func runSteps(env *des.Env, step, horizon time.Duration, stop func() bool) error
 		if next > end {
 			next = end
 		}
+		ran := env.Events()
 		if err := env.RunUntil(next); err != nil {
 			return err
+		}
+		if env.Events() == ran {
+			// RunUntil leaves the clock at the last executed event, so a
+			// step that runs none would repeat forever: pin an empty event
+			// on the boundary to move the clock there.
+			env.ScheduleFunc(next, func() {})
+			if err := env.RunUntil(next); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 
+	"netmem/internal/des"
 	"netmem/internal/dfs"
 	"netmem/internal/faults"
 )
@@ -75,5 +77,63 @@ func TestReplicaLagChaosDeterministic(t *testing.T) {
 	}
 	if len(r1.Injected) == 0 {
 		t.Errorf("campaign injected no faults")
+	}
+}
+
+// runSteps must end at the horizon when its stop never comes, even on a
+// clock with no event to carry it there. RunUntil leaves the clock at the
+// last executed event, so a step that runs nothing used to repeat
+// forever; the wall-clock guard turns that hang into a failure.
+func TestRunStepsQuietEnvReturnsAtHorizon(t *testing.T) {
+	env := des.NewEnv()
+	env.ScheduleFunc(des.Time(3*time.Millisecond), func() {})
+	done := make(chan error, 1)
+	go func() {
+		done <- runSteps(env, 10*time.Millisecond, 25*time.Millisecond, func() bool { return false })
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("runSteps did not return at the horizon")
+	}
+	if got, want := env.Now(), des.Time(25*time.Millisecond); got != want {
+		t.Fatalf("clock at %v after runSteps, want the horizon %v", got, want)
+	}
+}
+
+// A replica-rig mix that has not finished by the horizon ends the leg
+// instead of spinning, and every op it never ran is reported by name.
+func TestReplicaChaosUnfinishedMixReturns(t *testing.T) {
+	camp, ok := faults.Named("loss5")
+	if !ok {
+		t.Fatal("loss5 campaign missing")
+	}
+	done := make(chan *ReplicaChaosResult, 1)
+	go func() {
+		res, err := RunReplicaLagChaos(ReplicaChaosConfig{Campaign: camp, Seed: 1, Mode: dfs.DX, Replicas: 3})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	var res *ReplicaChaosResult
+	select {
+	case res = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("replica rig did not return at its horizon")
+	}
+	if res == nil {
+		return
+	}
+	for i, op := range res.Ops {
+		if op.Label != dfs.Figure2Ops[i].Label {
+			t.Errorf("op %d labelled %q, want %q", i, op.Label, dfs.Figure2Ops[i].Label)
+		}
+	}
+	if res.Window == 0 && res.Completed == len(res.Ops) {
+		t.Errorf("unfinished mix reports %d/%d ops complete", res.Completed, len(res.Ops))
 	}
 }

@@ -160,22 +160,9 @@ func (s *Service) ArmChainFailover(p *des.Proc, i int, watcher *rmem.Manager, hb
 	if i < 0 || i >= len(s.chains) || s.chains[i] == nil {
 		return nil, fmt.Errorf("shard: arm chain failover: slot %d has no chain", i)
 	}
-	hb := s.mgrs[i].Export(p, 8)
-	hb.SetDefaultRights(rmem.RightRead)
-	rmem.StartHeartbeat(s.mgrs[i], hb, 0, hbInterval)
-	hbImp := watcher.Import(p, s.mgrs[i].Node.ID, hb.ID(), hb.Gen(), 8)
-
-	rec := recovery.New(watcher, s.mgrs[i].Node.ID, recovery.Config{})
-	rec.OnFailover("chain.promote", func(p *des.Proc) error {
+	return s.armSlot(p, i, watcher, hbInterval, "chain.promote", func(p *des.Proc) error {
 		return s.promoteChain(p, i, watcher)
-	})
-	rec.OnFailover("membership.rebind", func(p *des.Proc) error {
-		s.mb.publishSlotMove(p, i, s.Shards[i].Node().ID)
-		return nil
-	})
-	rec.Watch(hbImp, 0)
-	s.coords[i] = rec
-	return rec, nil
+	}), nil
 }
 
 // promoteChain elects and promotes the most-advanced live chain member of
@@ -283,47 +270,9 @@ func (s *Service) chainBlobSection() []byte {
 // member-node-ids map a chain-aware clerk needs to import replica frames
 // by name alone. A blob without a chain section yields an empty map.
 func ResolveRingChains(p *des.Proc, m *rmem.Manager, ns *nameserver.Clerk, hint int) (map[int][]int, error) {
-	var imp *rmem.Import
-	err := awaitNS(p, nsBootDeadline, func() error {
-		var ierr error
-		imp, ierr = ns.Import(p, ringName, hint, true)
-		return ierr
-	})
+	l, err := resolveRingNamed(p, m, ns, ringName, hint)
 	if err != nil {
 		return nil, err
 	}
-	scratch := m.Export(p, imp.Size())
-	if err := imp.Read(p, 0, imp.Size(), scratch, 0, time.Second); err != nil {
-		return nil, err
-	}
-	buf := scratch.Bytes()
-	if len(buf) < 12 {
-		return nil, fmt.Errorf("shard: chain resolve: short blob (%d bytes)", len(buf))
-	}
-	n := int(binary.BigEndian.Uint32(buf[4:]))
-	off := 12 + 8*n
-	chains := make(map[int][]int)
-	if len(buf) < off+4 {
-		return chains, nil // pre-chain layout
-	}
-	count := int(binary.BigEndian.Uint32(buf[off:]))
-	off += 4
-	for i := 0; i < count; i++ {
-		if len(buf) < off+8 {
-			return nil, fmt.Errorf("shard: chain resolve: truncated chain %d", i)
-		}
-		slot := int(binary.BigEndian.Uint32(buf[off:]))
-		k := int(binary.BigEndian.Uint32(buf[off+4:]))
-		off += 8
-		if len(buf) < off+4*k {
-			return nil, fmt.Errorf("shard: chain resolve: truncated members of slot %d", slot)
-		}
-		nodes := make([]int, k)
-		for j := 0; j < k; j++ {
-			nodes[j] = int(binary.BigEndian.Uint32(buf[off+4*j:]))
-		}
-		off += 4 * k
-		chains[slot] = nodes
-	}
-	return chains, nil
+	return l.chains, nil
 }

@@ -567,10 +567,25 @@ func awaitNS(p *des.Proc, deadline des.Duration, fn func() error) error {
 // blob). Resolution forces a fresh lookup so an epoch bump's superseding
 // record is observed rather than a stale cached generation.
 func ResolveRing(p *des.Proc, m *rmem.Manager, ns *nameserver.Clerk, hint int) (*Ring, Epoch, map[int]int, error) {
-	return resolveRingNamed(p, m, ns, ringName, hint)
+	l, err := resolveRingNamed(p, m, ns, ringName, hint)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return l.ring, l.epoch, l.nodes, nil
 }
 
-func resolveRingNamed(p *des.Proc, m *rmem.Manager, ns *nameserver.Clerk, name string, hint int) (*Ring, Epoch, map[int]int, error) {
+// ringLayout is a parsed membership blob (see ringBlob and
+// chainBlobSection for the layout).
+type ringLayout struct {
+	ring   *Ring
+	epoch  Epoch
+	nodes  map[int]int   // slot → node
+	chains map[int][]int // slot → chain member nodes, head first
+}
+
+// resolveRingNamed fetches the membership blob registered under name and
+// parses it.
+func resolveRingNamed(p *des.Proc, m *rmem.Manager, ns *nameserver.Clerk, name string, hint int) (ringLayout, error) {
 	var imp *rmem.Import
 	// Absorb the boot-order race symmetrically with registerRetry: the
 	// clerk's own boot process may still be exporting its well-knowns, and
@@ -581,24 +596,57 @@ func resolveRingNamed(p *des.Proc, m *rmem.Manager, ns *nameserver.Clerk, name s
 		return ierr
 	})
 	if err != nil {
-		return nil, 0, nil, err
+		return ringLayout{}, err
 	}
 	scratch := m.Export(p, imp.Size())
 	if err := imp.Read(p, 0, imp.Size(), scratch, 0, time.Second); err != nil {
-		return nil, 0, nil, err
+		return ringLayout{}, err
 	}
-	buf := scratch.Bytes()
-	vnodes := int(binary.BigEndian.Uint32(buf[0:]))
-	n := int(binary.BigEndian.Uint32(buf[4:]))
-	epoch := Epoch(binary.BigEndian.Uint32(buf[8:]))
+	return parseRingBlob(name, scratch.Bytes())
+}
+
+// parseRingBlob checks every length before it reads: a short or truncated
+// record is an error, never a panic. A blob that ends after the member
+// pairs predates chains and yields an empty chain map.
+func parseRingBlob(name string, buf []byte) (ringLayout, error) {
+	word := func(off int) int { return int(binary.BigEndian.Uint32(buf[off:])) }
+	if len(buf) < 12 {
+		return ringLayout{}, fmt.Errorf("shard: resolve %q: short blob (%d bytes)", name, len(buf))
+	}
+	n := word(4)
+	if len(buf) < 12+8*n {
+		return ringLayout{}, fmt.Errorf("shard: resolve %q: %d members do not fit %d bytes", name, n, len(buf))
+	}
+	l := ringLayout{epoch: Epoch(word(8)), nodes: make(map[int]int, n), chains: make(map[int][]int)}
 	members := make([]int, n)
-	nodes := make(map[int]int, n)
-	for i := 0; i < n; i++ {
-		slot := int(binary.BigEndian.Uint32(buf[12+8*i:]))
-		members[i] = slot
-		nodes[slot] = int(binary.BigEndian.Uint32(buf[16+8*i:]))
+	for i := range members {
+		members[i] = word(12 + 8*i)
+		l.nodes[members[i]] = word(16 + 8*i)
 	}
-	return NewRingFrom(members, vnodes), epoch, nodes, nil
+	l.ring = NewRingFrom(members, word(0))
+	off := 12 + 8*n
+	if len(buf) < off+4 {
+		return l, nil // pre-chain layout
+	}
+	count := word(off)
+	off += 4
+	for i := 0; i < count; i++ {
+		if len(buf) < off+8 {
+			return ringLayout{}, fmt.Errorf("shard: resolve %q: truncated chain %d", name, i)
+		}
+		slot, k := word(off), word(off+4)
+		off += 8
+		if len(buf) < off+4*k {
+			return ringLayout{}, fmt.Errorf("shard: resolve %q: truncated members of slot %d", name, slot)
+		}
+		nodes := make([]int, k)
+		for j := range nodes {
+			nodes[j] = word(off + 4*j)
+		}
+		off += 4 * k
+		l.chains[slot] = nodes
+	}
+	return l, nil
 }
 
 // ResolveRingAny is ResolveRing with a hint list instead of a single
@@ -613,20 +661,13 @@ func resolveRingNamed(p *des.Proc, m *rmem.Manager, ns *nameserver.Clerk, name s
 // itself. Each dead probe costs at most one nsBootDeadline of retries;
 // only the last error is returned.
 func ResolveRingAny(p *des.Proc, m *rmem.Manager, ns *nameserver.Clerk, hints []int) (*Ring, Epoch, map[int]int, error) {
-	var (
-		ring  *Ring
-		epoch Epoch
-		nodes map[int]int
-		err   error
-	)
+	var err error
 	for _, hint := range hints {
-		ring, epoch, nodes, err = resolveRingNamed(p, m, ns, ringName, hint)
-		if err == nil {
-			return ring, epoch, nodes, nil
-		}
-		ring, epoch, nodes, err = resolveRingNamed(p, m, ns, fmt.Sprintf("%s.%d", ringName, hint), hint)
-		if err == nil {
-			return ring, epoch, nodes, nil
+		for _, name := range []string{ringName, fmt.Sprintf("%s.%d", ringName, hint)} {
+			var l ringLayout
+			if l, err = resolveRingNamed(p, m, ns, name, hint); err == nil {
+				return l.ring, l.epoch, l.nodes, nil
+			}
 		}
 	}
 	if err == nil {
@@ -654,13 +695,7 @@ func (s *Service) ArmFailover(p *des.Proc, i int, sbm, watcher *rmem.Manager, hb
 	s.standbys[i] = dfs.NewStandby(p, sbm, primary.Geo)
 	primary.AttachStandby(p, s.standbys[i], hbInterval)
 
-	hb := s.mgrs[i].Export(p, 8)
-	hb.SetDefaultRights(rmem.RightRead)
-	rmem.StartHeartbeat(s.mgrs[i], hb, 0, hbInterval)
-	hbImp := watcher.Import(p, s.mgrs[i].Node.ID, hb.ID(), hb.Gen(), 8)
-
-	rec := recovery.New(watcher, s.mgrs[i].Node.ID, recovery.Config{})
-	rec.OnFailover("standby.takeover", func(p *des.Proc) error {
+	return s.armSlot(p, i, watcher, hbInterval, "standby.takeover", func(p *des.Proc) error {
 		srv, err := s.standbys[i].TakeOver(p, s.Store, s.slotNodes, s.opts...)
 		if err != nil {
 			return err
@@ -668,11 +703,20 @@ func (s *Service) ArmFailover(p *des.Proc, i int, sbm, watcher *rmem.Manager, hb
 		s.Shards[i] = srv
 		return nil
 	})
+}
+
+// armSlot arms slot i's detector on watcher (recovery.Arm) with two
+// failover steps — promote, which installs the slot's new primary, then
+// the membership slot-move publication every subscribed clerk answers by
+// rebinding — starts detection and records the coordinator.
+func (s *Service) armSlot(p *des.Proc, i int, watcher *rmem.Manager, hbInterval des.Duration, step string, promote func(p *des.Proc) error) *recovery.Coordinator {
+	rec, hb := recovery.Arm(p, s.mgrs[i], watcher, hbInterval, recovery.Config{})
+	rec.OnFailover(step, promote)
 	rec.OnFailover("membership.rebind", func(p *des.Proc) error {
 		s.mb.publishSlotMove(p, i, s.Shards[i].Node().ID)
 		return nil
 	})
-	rec.Watch(hbImp, 0)
+	rec.Watch(hb, 0)
 	s.coords[i] = rec
 	return rec
 }

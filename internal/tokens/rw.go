@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"netmem/internal/des"
-	"netmem/internal/hybrid"
 	"netmem/internal/rmem"
 )
 
@@ -42,16 +41,9 @@ const rwRevMsgLen = 5
 // table exported by a home node (for the sharded DFS: the shard server's
 // per-bucket token area).
 type RWClient struct {
-	m       *rmem.Manager
-	table   *rmem.Import
-	scratch *rmem.Segment
-
-	rsrv  *hybrid.Server
-	peers map[int]*hybrid.Client
-
+	agent
 	read  map[int]bool
 	write map[int]bool
-	retry des.Duration
 
 	// onInvalidate runs when a read token is revoked out from under us —
 	// the coherence hook: a caching clerk drops the covered blocks.
@@ -81,16 +73,8 @@ type RWClient struct {
 // NewRWClient wires the agent: table import, CAS scratch, and its own
 // Hybrid-1 revocation service. slotNodes bounds the cluster size.
 func NewRWClient(p *des.Proc, m *rmem.Manager, home int, tabID, tabGen uint16, tabSize, slotNodes int) *RWClient {
-	c := &RWClient{
-		m:     m,
-		table: m.Import(p, home, tabID, tabGen, tabSize),
-		peers: make(map[int]*hybrid.Client),
-		read:  make(map[int]bool),
-		write: make(map[int]bool),
-		retry: 200 * time.Microsecond,
-	}
-	c.scratch = m.Export(p, 64)
-	c.rsrv = hybrid.NewServer(p, m, slotNodes, rwRevMsgLen, c.serveRevoke)
+	c := &RWClient{read: make(map[int]bool), write: make(map[int]bool)}
+	c.agent = newAgent(p, m, home, tabID, tabGen, tabSize, slotNodes, rwRevMsgLen, c.serveRevoke)
 	return c
 }
 
@@ -244,45 +228,17 @@ func (c *RWClient) depositDone(p *des.Proc, tok int) {
 	}
 }
 
-// RevocationChannel exposes this client's revocation-server coordinates.
-func (c *RWClient) RevocationChannel() (id, gen uint16, size int) { return c.rsrv.ReqSeg() }
-
-// Connect wires this client to a peer's revocation service.
-func (c *RWClient) Connect(p *des.Proc, peer int, reqID, reqGen uint16, reqSize int) {
-	c.peers[peer] = hybrid.NewClient(p, c.m, peer, reqID, reqGen, reqSize, rwRevMsgLen, 8)
-}
-
-// AttachPeer registers a peer's reply segment on our revocation server.
-func (c *RWClient) AttachPeer(p *des.Proc, peer int, repID, repGen uint16, repSize int) {
-	c.rsrv.AttachClient(p, peer, repID, repGen, repSize)
-}
-
-// PeerReply exposes the reply-segment coordinates of our channel TO peer.
-func (c *RWClient) PeerReply(peer int) (id, gen uint16, size int) {
-	return c.peers[peer].RepSeg()
-}
-
 // HoldsRead and HoldsWrite report current local token state. A caching
 // clerk checks these before serving from its cache: holding either grants
 // read validity.
 func (c *RWClient) HoldsRead(tok int) bool  { return c.read[tok] }
 func (c *RWClient) HoldsWrite(tok int) bool { return c.write[tok] }
 
-func (c *RWClient) word(tok int) int { return tok * wordStride }
-
 func (c *RWClient) nodeBit() (uint32, error) {
 	if c.m.Node.ID >= MaxRWNodes {
 		return 0, ErrNodeRange
 	}
 	return 1 << uint(c.m.Node.ID), nil
-}
-
-// readWord fetches the current token word.
-func (c *RWClient) readWord(p *des.Proc, tok int) (uint32, error) {
-	if err := c.table.Read(p, c.word(tok), 4, c.scratch, 8, time.Second); err != nil {
-		return 0, err
-	}
-	return c.scratch.ReadWord(p, 8), nil
 }
 
 // appeal asks holder (a node id) to give up tok; wantWrite selects whether

@@ -64,18 +64,73 @@ func (t *Table) Holder(tok int) int {
 	return int(v) - 1
 }
 
-// Client is one node's token agent: the CAS fast path plus a revocation
-// service other clients can appeal to.
-type Client struct {
+// agent is what both token clients share: the home's table import, a
+// CAS/READ scratch segment, and this node's Hybrid-1 revocation server
+// with its channels to the peers' servers. The acquire and revoke policies
+// live in the clients.
+type agent struct {
 	m       *rmem.Manager
 	table   *rmem.Import
 	scratch *rmem.Segment
 
-	rsrv  *hybrid.Server
-	peers map[int]*hybrid.Client // node → channel to its revocation server
+	rsrv   *hybrid.Server
+	peers  map[int]*hybrid.Client // node → channel to its revocation server
+	reqLen int                    // revocation request size on the wire
+	retry  des.Duration
+}
 
-	held  map[int]*heldToken
-	retry des.Duration
+// newAgent imports the table, exports the scratch segment and starts the
+// revocation server answering with serve. slotNodes bounds the cluster
+// size for the Hybrid-1 channel.
+func newAgent(p *des.Proc, m *rmem.Manager, home int, tabID, tabGen uint16, tabSize, slotNodes, reqLen int, serve hybrid.Handler) agent {
+	a := agent{
+		m:      m,
+		table:  m.Import(p, home, tabID, tabGen, tabSize),
+		peers:  make(map[int]*hybrid.Client),
+		reqLen: reqLen,
+		retry:  200 * time.Microsecond,
+	}
+	a.scratch = m.Export(p, 64)
+	a.rsrv = hybrid.NewServer(p, m, slotNodes, reqLen, serve)
+	return a
+}
+
+// RevocationChannel exposes this client's revocation-server coordinates.
+func (a *agent) RevocationChannel() (id, gen uint16, size int) { return a.rsrv.ReqSeg() }
+
+// Connect wires this client to a peer's revocation service (full mesh in a
+// small cluster; a deployment would do this through the name service).
+func (a *agent) Connect(p *des.Proc, peer int, reqID, reqGen uint16, reqSize int) {
+	a.peers[peer] = hybrid.NewClient(p, a.m, peer, reqID, reqGen, reqSize, a.reqLen, 8)
+}
+
+// AttachPeer registers a peer's reply segment on our revocation server.
+// Call with the values from the peer's client after its Connect to us.
+func (a *agent) AttachPeer(p *des.Proc, peer int, repID, repGen uint16, repSize int) {
+	a.rsrv.AttachClient(p, peer, repID, repGen, repSize)
+}
+
+// PeerReply exposes the reply-segment coordinates of our channel TO a
+// given peer, for the peer's AttachPeer.
+func (a *agent) PeerReply(peer int) (id, gen uint16, size int) {
+	return a.peers[peer].RepSeg()
+}
+
+func (a *agent) word(tok int) int { return tok * wordStride }
+
+// readWord fetches the current token word.
+func (a *agent) readWord(p *des.Proc, tok int) (uint32, error) {
+	if err := a.table.Read(p, a.word(tok), 4, a.scratch, 8, time.Second); err != nil {
+		return 0, err
+	}
+	return a.scratch.ReadWord(p, 8), nil
+}
+
+// Client is one node's exclusive token agent: the CAS fast path plus a
+// revocation service other clients can appeal to.
+type Client struct {
+	agent
+	held map[int]*heldToken
 
 	// Stats.
 	FastAcquires   int64 // satisfied by a single CAS
@@ -95,48 +150,21 @@ const revMsgLen = 4
 // NewClient creates the agent and its revocation service. slotNodes bounds
 // the cluster size for the Hybrid-1 channel.
 func NewClient(p *des.Proc, m *rmem.Manager, home int, tabID, tabGen uint16, tabSize, slotNodes int) *Client {
-	c := &Client{
-		m:     m,
-		table: m.Import(p, home, tabID, tabGen, tabSize),
-		peers: make(map[int]*hybrid.Client),
-		held:  make(map[int]*heldToken),
-		retry: 200 * time.Microsecond,
-	}
-	c.scratch = m.Export(p, 64)
-	c.rsrv = hybrid.NewServer(p, m, slotNodes, revMsgLen, c.serveRevoke)
+	c := &Client{held: make(map[int]*heldToken)}
+	c.agent = newAgent(p, m, home, tabID, tabGen, tabSize, slotNodes, revMsgLen, c.serveRevoke)
 	return c
 }
-
-// RevocationChannel exposes this client's revocation-server coordinates.
-func (c *Client) RevocationChannel() (id, gen uint16, size int) { return c.rsrv.ReqSeg() }
-
-// Connect wires this client to a peer's revocation service (full mesh in a
-// small cluster; a deployment would do this through the name service).
-func (c *Client) Connect(p *des.Proc, peer int, reqID, reqGen uint16, reqSize int) {
-	cli := hybrid.NewClient(p, c.m, peer, reqID, reqGen, reqSize, revMsgLen, 8)
-	c.peers[peer] = cli
-}
-
-// AttachPeer registers a peer's reply segment on our revocation server.
-// Call with the values from the peer's client after its Connect to us.
-func (c *Client) AttachPeer(p *des.Proc, peer int, repID, repGen uint16, repSize int) {
-	c.rsrv.AttachClient(p, peer, repID, repGen, repSize)
-}
-
-// PeerReply exposes the reply-segment coordinates of our channel TO a
-// given peer, for the peer's AttachPeer.
-func (c *Client) PeerReply(peer int) (id, gen uint16, size int) {
-	return c.peers[peer].RepSeg()
-}
-
-func (c *Client) word(tok int) int { return tok * wordStride }
 
 // Acquire obtains exclusive ownership of token tok. The fast path is one
 // remote CAS (≈38 µs, no control transfer anywhere). If the token is
 // held, the holder is read from the same word and asked — over Hybrid-1,
 // a control transfer, as the paper says — to release; the CAS is then
-// retried until the deadline.
+// retried until the deadline. Acquiring a token this client already
+// holds succeeds at once.
 func (c *Client) Acquire(p *des.Proc, tok int, timeout des.Duration) error {
+	if _, ok := c.held[tok]; ok {
+		return nil
+	}
 	me := uint32(c.m.Node.ID + 1)
 	deadline := p.Now().Add(timeout)
 	first := true
@@ -157,10 +185,11 @@ func (c *Client) Acquire(p *des.Proc, tok int, timeout des.Duration) error {
 			return ErrTimeout
 		}
 		// Read the holder from the token word and appeal to it.
-		if err := c.table.Read(p, c.word(tok), 4, c.scratch, 8, time.Second); err != nil {
+		w, err := c.readWord(p, tok)
+		if err != nil {
 			return err
 		}
-		holder := int(c.scratch.ReadWord(p, 8)) - 1
+		holder := int(w) - 1
 		if holder >= 0 && holder != c.m.Node.ID {
 			if peer, okp := c.peers[holder]; okp {
 				c.Revocations++

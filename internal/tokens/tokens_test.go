@@ -166,6 +166,34 @@ func TestAcquireTimeout(t *testing.T) {
 	})
 }
 
+// Re-acquiring a held token returns at once: the CAS from 0 fails on our
+// own word, and there is no other holder to appeal to.
+func TestReacquireHeldToken(t *testing.T) {
+	r := newRig(t, 2, 1)
+	r.run(t, func(p *des.Proc) {
+		c := r.clients[0]
+		if err := c.Acquire(p, 0, time.Second); err != nil {
+			t.Error(err)
+			return
+		}
+		start := p.Now()
+		if err := c.Acquire(p, 0, 5*time.Millisecond); err != nil {
+			t.Errorf("re-acquire: %v", err)
+			return
+		}
+		if lat := p.Now().Sub(start); lat != 0 {
+			t.Errorf("re-acquire took %v, want 0", lat)
+		}
+		if !c.Holds(0) || r.table.Holder(0) != 1 || c.FastAcquires != 1 || c.Revocations != 0 {
+			t.Errorf("bookkeeping after re-acquire: holds %v holder %d fast %d revocations %d",
+				c.Holds(0), r.table.Holder(0), c.FastAcquires, c.Revocations)
+		}
+		if err := c.Release(p, 0); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
 func TestMutualExclusionUnderContention(t *testing.T) {
 	r := newRig(t, 3, 1)
 	var inCrit, maxCrit, entries int

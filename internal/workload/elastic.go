@@ -109,7 +109,7 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 	var clerks []*shard.Clerk
 	err := leg.Setup("setup", 500*time.Millisecond, func(p *des.Proc) (err error) {
 		svc = shard.NewService(p, leg.Mgrs[:cfg.StartShards], nodes, dfs.Geometry{})
-		mgr = shard.NewManager(svc, leg.Mgrs[cfg.StartShards:cfg.PeakShards], shard.ManagerConfig{})
+		mgr = shard.NewManager(svc, leg.Mgrs[cfg.StartShards:cfg.PeakShards])
 		if tree, err = BuildTreeOn(svc.Store, svc, cfg.Dirs, cfg.PerDir); err != nil {
 			return err
 		}

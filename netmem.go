@@ -174,12 +174,9 @@ type (
 	// ShardEvent is one committed membership change, as delivered to
 	// ShardMembership.Watch subscribers.
 	ShardEvent = shard.Event
-	// ShardManager is the elastic autoscaler: it watches per-shard CPU
-	// occupancy and grows or shrinks the fleet between watermarks.
+	// ShardManager sizes the elastic fleet: ScaleTo joins spare slots or
+	// drains the newest joiner until the fleet reaches a target size.
 	ShardManager = shard.Manager
-	// ShardManagerConfig tunes the autoscaler's sampling interval,
-	// watermarks, size bounds, and cooldown.
-	ShardManagerConfig = shard.ManagerConfig
 )
 
 var (
@@ -629,8 +626,8 @@ func (f FilesAPI) Standby(p *Proc, node int, geo FileGeometry) *FileStandby {
 
 // ShardsAPI builds the sharded, elastic file tier: the namespace
 // partitioned across N servers by consistent hashing, clerks that route
-// per handle, and an autoscaler that grows and shrinks the fleet under
-// load. Obtain one with System.Shards.
+// per handle, and a fleet manager that grows and shrinks the fleet on
+// request. Obtain one with System.Shards.
 type ShardsAPI struct{ sys *System }
 
 // Shards returns the sharded-file-tier builder.
@@ -674,17 +671,16 @@ func (sh ShardsAPI) Clerk(p *Proc, node int, svc *ShardService, mode FileMode, o
 	return shard.NewClerk(p, sh.sys.Mem[node], svc, mode, opts...)
 }
 
-// Elastic arms svc with an autoscaler over spare shard slots hosted on the
-// pool nodes (by index): when per-shard CPU occupancy crosses the config's
-// watermarks the manager joins a spare or drains the newest member,
-// migrating blocks donor→owner with plain one-sided rmem WRITEs. Start it
-// with ShardManager.Start, or drive it directly with ScaleTo.
-func (sh ShardsAPI) Elastic(svc *ShardService, pool []int, cfg ShardManagerConfig) *ShardManager {
+// Elastic gives svc a fleet manager over spare shard slots hosted on the
+// pool nodes (by index): ShardManager.ScaleTo joins spares in pool order
+// or drains the newest member, migrating blocks donor→owner with plain
+// one-sided rmem WRITEs.
+func (sh ShardsAPI) Elastic(svc *ShardService, pool []int) *ShardManager {
 	mgrs := make([]*Manager, len(pool))
 	for i, n := range pool {
 		mgrs[i] = sh.sys.Mem[n]
 	}
-	return shard.NewManager(svc, mgrs, cfg)
+	return shard.NewManager(svc, mgrs)
 }
 
 // ReplicasAPI builds the replica read tier: per-shard k-member chains

@@ -189,7 +189,7 @@ func TestFacadeElasticShards(t *testing.T) {
 	var epochs []ShardEpoch
 	sys.Spawn("demo", func(p *Proc) {
 		svc := sys.Shards().Service(p, FileGeometry{})
-		mgr := sys.Shards().Elastic(svc, []int{2, 3}, ShardManagerConfig{})
+		mgr := sys.Shards().Elastic(svc, []int{2, 3})
 		clerk := sys.Shards().Clerk(p, 4, svc, DX)
 		svc.Membership().Watch(func(_ *ShardRing, e ShardEpoch) {
 			epochs = append(epochs, e)
