@@ -1,6 +1,8 @@
 package consensus
 
 import (
+	"bytes"
+
 	"netmem/internal/des"
 	"netmem/internal/rmem"
 )
@@ -37,7 +39,7 @@ func NewAcceptor(p *des.Proc, m *rmem.Manager, cfg Config) *Acceptor {
 	a.Seg = m.Export(p, cfg.SegSize())
 	a.Seg.SetDefaultRights(rmem.RightRead | rmem.RightWrite | rmem.RightCAS)
 	if !cfg.NoLease {
-		rmem.StartHeartbeat(m, a.Seg, cfg.hbOff(), cfg.LeaseInterval)
+		rmem.StartHeartbeat(m, a.Seg, cfg.hbOff(), leaseInterval)
 	}
 	return a
 }
@@ -51,27 +53,18 @@ func (a *Acceptor) Node() int { return a.M.Node.ID }
 func (a *Acceptor) OnLearn(fn func(p *des.Proc, slot int)) { a.onLearn = fn }
 
 // Learned reads slot's learned cell from local memory, returning the
-// chosen ballot (0 if the slot is still open) and the payload bytes.
-// Only meaningful on the acceptor's own machine. In compact mode the
-// logical-slot prefix is verified and stripped: a learned cell left over
-// from the physical slot's previous occupant reads as open.
+// chosen ballot (0 if the slot is still open) and the value with its
+// logical-slot prefix stripped. Only meaningful on the acceptor's own
+// machine. A learned cell left over from the physical slot's previous
+// occupant reads as open.
 func (a *Acceptor) Learned(p *des.Proc, slot int) (Ballot, []byte) {
 	buf := a.Seg.ReadLocal(p, a.Cfg.learnedOff(slot), a.Cfg.cellSize())
 	defer a.M.Buffers().Put(buf)
 	b := Ballot(be32(buf))
-	if b == 0 {
+	if b == 0 || be32(buf[4:]) != uint32(slot) {
 		return 0, nil
 	}
-	payload := buf[4:]
-	if a.Cfg.Compact {
-		if be32(payload) != uint32(slot) {
-			return 0, nil
-		}
-		payload = payload[4:]
-	}
-	out := make([]byte, len(payload))
-	copy(out, payload)
-	return b, out
+	return b, bytes.Clone(buf[8:])
 }
 
 // Group is the wiring record for one consensus cell: the shared Config

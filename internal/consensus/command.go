@@ -29,7 +29,7 @@ const (
 	// membership epoch and Blob the packed ring.
 	KindMembership
 	// KindSnapshot advances the compaction watermark: every replica
-	// checkpoints its applied state into the snapshot segment and
+	// checkpoints its applied state into its acceptor segment and
 	// recycles the slots at and below the decree's own slot. The decree
 	// carries no base — each replica computes it from where the decree
 	// landed, so all replicas agree by construction.

@@ -33,9 +33,9 @@ func (r *CompactionResult) Windows() float64 {
 	return float64(r.Applied) / float64(r.Slots)
 }
 
-// RunCompaction drives a 3-acceptor compacting control plane through
-// `commits` decrees over a `slots`-slot window — the long-run leg that
-// proves Config.Slots is a working-set size, not a horizon. The replay
+// RunCompaction drives a 3-acceptor control plane through `commits`
+// decrees over a `slots`-slot window — the long-run leg that proves
+// Config.Slots is a working-set size, not a horizon. The replay
 // audit rebuilds the digest from the checkpoint plus the retained suffix
 // and must land exactly on the live one.
 func RunCompaction(slots, commits int, seed int64) (*CompactionResult, error) {
@@ -47,7 +47,7 @@ func RunCompaction(slots, commits int, seed int64) (*CompactionResult, error) {
 	// bounds runaways.
 	horizon := time.Second + time.Duration(commits)*5*time.Millisecond
 	err := leg.Setup("compact.soak", horizon, func(p *des.Proc) error {
-		g := NewGroup(p, Config{Slots: slots, Proposers: 5, Compact: true}, leg.Mgrs[:3]...)
+		g := NewGroup(p, Config{Slots: slots}, leg.Mgrs[:3]...)
 		cp = NewControlPlane(p, g, nil)
 		if err := cp.Start(p); err != nil {
 			return err

@@ -16,8 +16,14 @@
 // Layout of an acceptor segment, per log slot:
 //
 //	word 0:              promised(16) | accepted(16)   (the CAS word)
-//	cell 0 (learned):    chosen ballot(32) + payload   (written after quorum accept)
-//	cells 1..K:          ballot stamp(32) + payload    (one per proposer lane)
+//	cell 0 (learned):    chosen ballot(32) + value     (written after quorum accept)
+//	cells 1..K:          ballot stamp(32) + value      (one per proposer lane)
+//
+// Every value starts with its 4-byte logical slot. Logical slots map
+// onto the Slots physical slots modulo Slots, and a control plane
+// recycles the window with snapshot decrees (see Replica.checkpoint), so
+// the prefix is what tells a decree from a stale cell left by the
+// physical slot's previous occupant.
 //
 // The single packed control word makes promise and accept one atomic CAS:
 // a phase-1 CAS bumps the promised half while preserving the accepted
@@ -39,8 +45,6 @@ package consensus
 import (
 	"errors"
 	"time"
-
-	"netmem/internal/des"
 )
 
 // Errors.
@@ -48,9 +52,12 @@ var (
 	// ErrNoQuorum reports that a proposal could not reach a majority of
 	// acceptors within the retry budget.
 	ErrNoQuorum = errors.New("consensus: no quorum of acceptors reachable")
-	// ErrValueTooLarge reports a proposed value exceeding Config.Payload.
+	// ErrValueTooLarge reports a proposed value longer than maxValue.
 	ErrValueTooLarge = errors.New("consensus: value exceeds slot payload")
-	// ErrLogFull reports that every configured log slot is already chosen.
+	// ErrLogFull reports that the live window [watermark, watermark+Slots)
+	// is full. Under a ControlPlane that only means the appliers are a
+	// full window behind; a bare Group has nothing that snapshots it, so
+	// there it stops for good at slot Slots.
 	ErrLogFull = errors.New("consensus: log slots exhausted")
 	// ErrBadCommand reports an undecodable log entry.
 	ErrBadCommand = errors.New("consensus: malformed command")
@@ -66,6 +73,24 @@ var (
 	ErrCompacted = errors.New("consensus: slot below compaction watermark")
 )
 
+// payload is the bytes each value cell carries after its ballot stamp:
+// the 4-byte logical-slot prefix plus the value. The largest value
+// Propose accepts is therefore maxValue, 124 B — room for a packed
+// name-registry record or the membership blob of a small ring, but not
+// for a 4-shard × 3-replica tier's (a 128 B blob, a 142 B command).
+const (
+	payload  = 128
+	maxValue = payload - 4
+)
+
+// Leader leases: every acceptor beats its heartbeat word each
+// leaseInterval, and a replica's watchdog declares the leader dead after
+// leaseGrace consecutive misses.
+const (
+	leaseInterval = 250 * time.Microsecond
+	leaseGrace    = 4
+)
+
 // Config sizes a consensus group. The zero value is filled with defaults.
 type Config struct {
 	// Acceptors is the replication degree R; a majority (R/2+1) of the
@@ -75,30 +100,17 @@ type Config struct {
 	// (replica or external proposer) owns one lane; ballots from different
 	// lanes never collide. Default Acceptors+2.
 	Proposers int
-	// Slots is the log capacity. Default 256.
+	// Slots is the live log window: proposers accept logical slots in
+	// [watermark, watermark+Slots). A ControlPlane advances the watermark
+	// with a snapshot decree once 3/4 of the window is applied; a bare
+	// Group never does. Default 256.
 	Slots int
-	// Payload is the value size carried per cell, a multiple of 4.
-	// Default 128 — large enough for a packed name-registry record or an
-	// 8-member ring blob.
-	Payload int
-	// LeaseInterval is the leader heartbeat cadence (default 250 µs);
-	// watchdog grace is LeaseGrace consecutive misses (default 4).
-	LeaseInterval des.Duration
-	LeaseGrace    int
-	// NoLease disables the acceptor heartbeat word. Pure-agreement
-	// benches use it to measure acceptor-side CPU with no failure
-	// detector running; groups under a ControlPlane leave it off.
+	// NoLease disables the acceptor heartbeat word. Only tests set it:
+	// with no heartbeat daemon beating, a simulation drains (Env.Run
+	// returns), and the acceptors' CPU accounts show the agreement path
+	// alone, since every beat is a charged local write. Groups under a
+	// ControlPlane leave it off.
 	NoLease bool
-	// Compact turns on log compaction: logical slots map onto physical
-	// slots modulo Slots, a KindSnapshot decree checkpoints applied
-	// ControlPlane state into an rmem segment and recycles everything
-	// below the watermark, and Slots becomes a *window* size instead of a
-	// hard horizon. In compact mode each value cell carries a 4-byte
-	// logical-slot prefix (so a straggler's deposit for a recycled slot is
-	// never mistaken for the new occupant's), which shrinks the usable
-	// payload to Payload-4. Off by default: the legacy fixed-horizon
-	// layout stays byte-identical.
-	Compact bool
 }
 
 func (c *Config) fill() {
@@ -111,16 +123,6 @@ func (c *Config) fill() {
 	if c.Slots <= 0 {
 		c.Slots = 256
 	}
-	if c.Payload <= 0 {
-		c.Payload = 128
-	}
-	c.Payload = (c.Payload + 3) &^ 3
-	if c.LeaseInterval <= 0 {
-		c.LeaseInterval = 250 * time.Microsecond
-	}
-	if c.LeaseGrace <= 0 {
-		c.LeaseGrace = 4
-	}
 }
 
 // Quorum is the majority size over the original acceptor set. Crashed
@@ -132,26 +134,10 @@ func (c Config) Quorum() int { return c.Acceptors/2 + 1 }
 
 // Geometry.
 
-// phys maps a logical slot to its physical slot: identity in the legacy
-// layout, modulo Slots under compaction (recycled slots are zeroed by the
-// replicas when the watermark passes them).
-func (c Config) phys(s int) int {
-	if c.Compact {
-		return s % c.Slots
-	}
-	return s
-}
+// phys maps a logical slot onto its physical slot.
+func (c Config) phys(s int) int { return s % c.Slots }
 
-// MaxValue is the largest value Propose accepts: the full payload, minus
-// the logical-slot prefix in compact mode.
-func (c Config) MaxValue() int {
-	if c.Compact {
-		return c.Payload - 4
-	}
-	return c.Payload
-}
-
-func (c Config) cellSize() int        { return 4 + c.Payload }
+func (c Config) cellSize() int        { return 4 + payload }
 func (c Config) slotSize() int        { return 4 + (c.Proposers+1)*c.cellSize() }
 func (c Config) ctlOff(s int) int     { return c.phys(s) * c.slotSize() }
 func (c Config) learnedOff(s int) int { return c.phys(s)*c.slotSize() + 4 }
@@ -174,14 +160,19 @@ func (c Config) floorOff(lane int) int { return c.laneOff(lane) + 8 }
 
 // baseOff is the compaction watermark word: the lowest live logical slot,
 // written by the co-located replica when it applies a snapshot decree.
+// ckptOff is the replica's 24-byte checkpoint right behind it (layout in
+// Replica.checkpoint). Rights are per segment, so both are as remotely
+// writable as the slots: a misdirected proposer WRITE could corrupt the
+// watermark or the checkpoint the replay audit trusts. Proposers write
+// only at computed slot, cell and lane-table offsets.
 func (c Config) baseOff() int { return c.hbOff() + 4 + c.Proposers*12 }
+func (c Config) ckptOff() int { return c.baseOff() + 4 }
 
 // SegSize is the acceptor segment footprint: all slots, the heartbeat
-// word watchdogs probe, the lane-lease table, and the compaction base
-// word. The lease table and base word are sized in unconditionally (a
-// few dozen bytes) so every group layout is identical whether or not the
-// features are used.
-func (c Config) SegSize() int { return c.baseOff() + 4 }
+// word watchdogs probe, the lane-lease table, the compaction base word
+// and the checkpoint. Every group has the same layout whether or not it
+// leases lanes or compacts.
+func (c Config) SegSize() int { return c.ckptOff() + ckptSize }
 
 // Ballots. A ballot is a 16-bit value packed two per control word.
 // Lane k proposes ballots k+1, k+1+K, k+1+2K, ... so lanes never collide

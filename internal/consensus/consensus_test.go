@@ -72,11 +72,18 @@ func TestSingleDecreeChosen(t *testing.T) {
 		t.Fatalf("chosen = %q, want %q", chosen[:len(val)], val)
 	}
 	// Verify the learned cells out-of-band (raw memory, no simulated cost,
-	// so the CPU assertion below stays clean).
+	// so the CPU assertion below stays clean): chosen ballot, then the
+	// logical-slot prefix, then the value.
 	for _, a := range r.g.Accs {
 		buf := a.Seg.Bytes()[r.g.Cfg.learnedOff(0):]
-		if be32(buf) == 0 || !bytes.Equal(buf[4:4+len(val)], val) {
-			t.Errorf("acceptor %d learned cell wrong", a.Node())
+		if be32(buf) == 0 {
+			t.Errorf("acceptor %d learned cell still open", a.Node())
+		}
+		if be32(buf[4:]) != 0 {
+			t.Errorf("acceptor %d learned cell carries slot prefix %d, want 0", a.Node(), be32(buf[4:]))
+		}
+		if !bytes.Equal(buf[8:8+len(val)], val) {
+			t.Errorf("acceptor %d learned value = %q, want %q", a.Node(), buf[8:8+len(val)], val)
 		}
 	}
 	for i := 0; i < 3; i++ {
@@ -138,8 +145,9 @@ func TestAdoptsAcceptedValue(t *testing.T) {
 				t.Errorf("hand promise failed")
 			}
 		}
+		orphan := cellValue(0, []byte("orphaned-but-chosen"))
 		for _, ep := range pr.eps[:2] {
-			if !pr.acceptOne(p, ep, 0, b, []byte("orphaned-but-chosen")) {
+			if !pr.acceptOne(p, ep, 0, b, orphan) {
 				t.Errorf("hand accept failed")
 			}
 		}

@@ -53,13 +53,12 @@ type Replica struct {
 	seq        uint32 // per-origin proposal sequence
 	wd         *rmem.Watchdog
 
-	// Compaction state (Config.Compact): the watermark below which slots
-	// are recycled, a running FNV-64a digest of every applied decree, and
-	// the exported checkpoint segment.
+	// Compaction state: the watermark below which slots are recycled and
+	// a running FNV-64a digest of every applied decree. The checkpoint
+	// lives in the acceptor segment, behind the base word.
 	snapBase    int
 	snapPending bool
 	digest      uint64
-	snapSeg     *rmem.Segment
 
 	// fenceSeg is the replica's exported fence table (EnableFenceTable):
 	// one word per node, bumped even->odd by a fence decree and odd->even
@@ -100,24 +99,14 @@ func NewControlPlane(p *des.Proc, g *Group, clerks []*nameserver.Clerk) *Control
 		acc.Seg.OnNotify(func(np *des.Proc, note rmem.Notification) {
 			cfg := g.Cfg
 			if off := note.Offset; off < cfg.hbOff() && off%cfg.slotSize() == 4 {
-				slot := off / cfg.slotSize()
-				if cfg.Compact {
-					// The physical slot is ambiguous under recycling; the
-					// learned cell's logical-slot prefix says which decree
-					// actually arrived.
-					cell := acc.Seg.Bytes()[off:]
-					if be32(cell) == 0 {
-						return
-					}
-					slot = int(be32(cell[4:]))
+				// The physical slot is ambiguous under recycling; the
+				// learned cell's logical-slot prefix says which decree
+				// actually arrived.
+				if cell := acc.Seg.Bytes()[off:]; be32(cell) != 0 {
+					r.noteLearn(np, int(be32(cell[4:])))
 				}
-				r.noteLearn(np, slot)
 			}
 		})
-		if g.Cfg.Compact {
-			r.snapSeg = acc.M.Export(p, 32)
-			r.snapSeg.SetDefaultRights(rmem.RightRead)
-		}
 		cp.reps = append(cp.reps, r)
 	}
 	return cp
@@ -214,7 +203,10 @@ func (r *Replica) noteLearn(p *des.Proc, slot int) {
 }
 
 func (r *Replica) pump(p *des.Proc) {
-	for r.applied < r.horizon() {
+	// Apply at most one window past the watermark: a decree beyond that
+	// cannot exist, since proposers refuse slots outside
+	// [base, base+Slots).
+	for r.applied < r.snapBase+r.cp.g.Cfg.Slots {
 		b, val := r.acc.Learned(p, r.applied)
 		if b == 0 {
 			break
@@ -256,17 +248,6 @@ func (r *Replica) pump(p *des.Proc) {
 			})
 		})
 	}
-}
-
-// horizon is the apply bound: the fixed log size, or — under compaction
-// — one window past the watermark (a decree beyond that cannot exist:
-// proposers refuse slots outside [base, base+Slots)).
-func (r *Replica) horizon() int {
-	cfg := r.cp.g.Cfg
-	if cfg.Compact {
-		return r.snapBase + cfg.Slots
-	}
-	return cfg.Slots
 }
 
 func (r *Replica) apply(p *des.Proc, slot int, cmd Command) {
@@ -338,7 +319,7 @@ func (r *Replica) fenceWord(p *des.Proc, node int, fence bool) {
 // the leader restriction just avoids duelling snapshots.
 func (r *Replica) maybeSnapshot() {
 	cfg := r.cp.g.Cfg
-	if !cfg.Compact || r.snapPending || r.leader != r.idx {
+	if r.snapPending || r.leader != r.idx {
 		return
 	}
 	if r.applied-r.snapBase < cfg.Slots*3/4 {
@@ -352,30 +333,32 @@ func (r *Replica) maybeSnapshot() {
 	})
 }
 
-// checkpoint persists the replica's applied state into its snapshot
-// segment and advances the recycling watermark past the snapshot
-// decree's own slot: blob layout applied(8) | leaseEpoch(4) | leader(4)
-// | digest(8). The decree carries no watermark — newBase = slot+1 falls
-// out of where it landed, so replicas agree without coordination.
+// ckptSize is the checkpoint blob at Config.ckptOff: applied(8) |
+// leaseEpoch(4) | leader(4) | digest(8).
+const ckptSize = 24
+
+// checkpoint persists the replica's applied state into the checkpoint
+// words of its acceptor segment and advances the recycling watermark
+// past the snapshot decree's own slot. The decree carries no watermark —
+// newBase = slot+1 falls out of where it landed, so replicas agree
+// without coordination.
 //
 // Nothing is erased. A recycled physical slot keeps its old control
 // word, value cells, and learned cell; the logical-slot prefix carried
-// in every compact-mode value makes all of them inert to the next
-// occupant (stale learned/accepted cells read as open, stale promises
-// merely start the new occupant's ballots higher). Deliberately so: an
-// eager wipe would destroy promises for proposals still in flight at
-// the head — the decree that advances the watermark commits *at* the
-// head, with its neighbours' phase 2 racing it.
+// in every value makes all of them inert to the next occupant (stale
+// learned/accepted cells read as open, stale promises merely start the
+// new occupant's ballots higher). Deliberately so: an eager wipe would
+// destroy promises for proposals still in flight at the head — the
+// decree that advances the watermark commits *at* the head, with its
+// neighbours' phase 2 racing it.
 func (r *Replica) checkpoint(p *des.Proc, slot int) {
 	cfg := r.cp.g.Cfg
-	if r.snapSeg != nil {
-		var blob [24]byte
-		binary.BigEndian.PutUint64(blob[0:], uint64(slot))
-		binary.BigEndian.PutUint32(blob[8:], r.leaseEpoch)
-		binary.BigEndian.PutUint32(blob[12:], uint32(int32(r.leader)))
-		binary.BigEndian.PutUint64(blob[16:], r.digest)
-		r.snapSeg.WriteLocal(p, 0, blob[:])
-	}
+	var blob [ckptSize]byte
+	binary.BigEndian.PutUint64(blob[0:], uint64(slot))
+	binary.BigEndian.PutUint32(blob[8:], r.leaseEpoch)
+	binary.BigEndian.PutUint32(blob[12:], uint32(int32(r.leader)))
+	binary.BigEndian.PutUint64(blob[16:], r.digest)
+	r.acc.Seg.WriteLocal(p, cfg.ckptOff(), blob[:])
 	r.snapBase = slot + 1
 	r.acc.Seg.WriteWord(p, cfg.baseOff(), uint32(r.snapBase))
 }
@@ -398,21 +381,22 @@ func (r *Replica) SnapBase() int { return r.snapBase }
 // Digest returns the running digest over applied decrees.
 func (r *Replica) Digest() uint64 { return r.digest }
 
-// Checkpoint decodes the replica's snapshot segment: the slot the last
+// Checkpoint decodes the replica's checkpoint: the slot the last
 // snapshot decree landed in (-1 if none yet), the lease state, and the
 // digest over every decree folded before the snapshot decree itself.
 // A nil proc reads the raw bytes with no simulated access cost
 // (post-run inspection from tests and harness audits).
 func (r *Replica) Checkpoint(p *des.Proc) (slot int, leaseEpoch uint32, leader int, digest uint64) {
-	if r.snapSeg == nil || r.snapBase == 0 {
+	if r.snapBase == 0 {
 		return -1, 0, -1, 0
 	}
+	off := r.cp.g.Cfg.ckptOff()
 	var buf []byte
 	if p != nil {
-		buf = r.snapSeg.ReadLocal(p, 0, 24)
+		buf = r.acc.Seg.ReadLocal(p, off, ckptSize)
 		defer r.acc.M.Buffers().Put(buf)
 	} else {
-		buf = r.snapSeg.Bytes()[:24]
+		buf = r.acc.Seg.Bytes()[off : off+ckptSize]
 	}
 	slot = int(binary.BigEndian.Uint64(buf[0:]))
 	leaseEpoch = binary.BigEndian.Uint32(buf[8:])
@@ -492,9 +476,9 @@ func (r *Replica) watchLeader() {
 	epoch := r.leaseEpoch
 	m := r.acc.M
 	r.wd = rmem.NewWatchdogCfg(m, ep.imp, cfg.hbOff(), rmem.WatchdogConfig{
-		Interval: cfg.LeaseInterval,
+		Interval: leaseInterval,
 		Timeout:  m.Node.P.RetryTimeout,
-		Grace:    cfg.LeaseGrace,
+		Grace:    leaseGrace,
 	}, func(p *des.Proc, err error) { r.leaderDown(p, epoch) })
 }
 

@@ -30,7 +30,7 @@ type Proposer struct {
 
 	lastB map[int]Ballot // per-slot ballot floor: stamps per cell stay monotone
 	next  int            // first slot not known chosen (allocation hint)
-	base  int            // cached compaction watermark (compact mode only)
+	base  int            // cached compaction watermark
 
 	// Lane-lease state (leased client lanes only; see lease.go). minB/
 	// ceilB bound the quorum-reserved ballot range this owner may use;
@@ -209,18 +209,14 @@ func (pr *Proposer) readCell(p *des.Proc, ep *endpoint, off int) (Ballot, []byte
 	if ep.seg != nil {
 		buf := ep.seg.ReadLocal(p, off, n)
 		defer pr.m.Buffers().Put(buf)
-		out := make([]byte, pr.g.Cfg.Payload)
-		copy(out, buf[4:])
-		return Ballot(be32(buf)), out, nil
+		return Ballot(be32(buf)), bytes.Clone(buf[4:]), nil
 	}
 	if err := ep.imp.Read(p, off, n, pr.scratch, 8, pr.opTO); err != nil {
 		return 0, nil, err
 	}
 	ep.noteOK()
 	buf := pr.scratch.Bytes()[8 : 8+n]
-	out := make([]byte, pr.g.Cfg.Payload)
-	copy(out, buf[4:])
-	return Ballot(be32(buf)), out, nil
+	return Ballot(be32(buf)), bytes.Clone(buf[4:]), nil
 }
 
 // writeCell deposits a stamped value. The write is frame-atomic (stamp
@@ -242,49 +238,49 @@ func (pr *Proposer) writeCell(p *des.Proc, ep *endpoint, off int, b Ballot, val 
 	return nil
 }
 
+// cellValue lays val out the way every value cell carries it: the
+// logical-slot prefix, then val, zero-padded to the payload. The prefix
+// keeps a cell surviving from the physical slot's previous occupant from
+// being mistaken for slot's decree after the window wraps.
+func cellValue(slot int, val []byte) []byte {
+	v := make([]byte, payload)
+	putbe32(v, uint32(slot))
+	copy(v[4:], val)
+	return v
+}
+
 // Propose runs the full protocol for slot with val as the candidate and
-// returns the value actually chosen there (padded to Config.Payload) —
-// which is val's padding unless some other proposal got there first. It
-// is safe to call concurrently from many proposers on many machines; at
+// returns the value actually chosen there (padded to maxValue) — which
+// is val's padding unless some other proposal got there first. It is
+// safe to call concurrently from many proposers on many machines; at
 // most one value is ever chosen per slot.
 func (pr *Proposer) Propose(p *des.Proc, slot int, val []byte) ([]byte, error) {
 	cfg := pr.g.Cfg
-	if len(val) > cfg.MaxValue() {
+	if len(val) > maxValue {
 		return nil, ErrValueTooLarge
 	}
-	if slot < 0 || (!cfg.Compact && slot >= cfg.Slots) {
+	if slot < 0 {
 		return nil, ErrLogFull
 	}
-	mine := make([]byte, cfg.Payload)
-	if cfg.Compact {
-		// The logical-slot prefix travels inside the value, so a cell
-		// surviving from this physical slot's previous occupant is never
-		// mistaken for slot's decree after the window wraps.
-		putbe32(mine, uint32(slot))
-		copy(mine[4:], val)
-	} else {
-		copy(mine, val)
-	}
+	mine := cellValue(slot, val)
 
 	pr.lock(p)
 	defer pr.unlock()
 	if pr.lost {
 		return nil, ErrLaneLost
 	}
-	if cfg.Compact {
+	if slot < pr.base {
+		return nil, ErrCompacted
+	}
+	if slot >= pr.base+cfg.Slots {
+		if err := pr.refreshBase(p); err != nil {
+			return nil, err
+		}
 		if slot < pr.base {
 			return nil, ErrCompacted
 		}
 		if slot >= pr.base+cfg.Slots {
-			if err := pr.refreshBase(p); err != nil {
-				return nil, err
-			}
-			if slot < pr.base {
-				return nil, ErrCompacted
-			}
-			if slot >= pr.base+cfg.Slots {
-				return nil, ErrLogFull
-			}
+			return nil, ErrLogFull
 		}
 	}
 
@@ -293,7 +289,11 @@ func (pr *Proposer) Propose(p *des.Proc, slot int, val []byte) ([]byte, error) {
 		return nil, err
 	}
 	for round := 0; round < maxRounds; round++ {
-		if v, ok := pr.readChosen(p, slot); ok {
+		v, ok, err := pr.readChosen(p, slot)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
 			pr.observeChosen(slot)
 			return v, nil
 		}
@@ -334,7 +334,11 @@ func (pr *Proposer) Propose(p *des.Proc, slot int, val []byte) ([]byte, error) {
 					}
 					continue
 				}
-				if cfg.Compact && be32(v) != uint32(slot) {
+				switch s := int(be32(v)); {
+				case s > slot:
+					// The physical slot already holds a later decree.
+					return nil, pr.compacted(p)
+				case s < slot:
 					// Stale cell from the physical slot's previous
 					// occupant: that decree is below the watermark,
 					// already applied everywhere. Keep the promise, adopt
@@ -371,22 +375,13 @@ func (pr *Proposer) Propose(p *des.Proc, slot int, val []byte) ([]byte, error) {
 			pr.learn(p, slot, b, bestVal)
 			pr.ChosenSlots++
 			pr.observeChosen(slot)
-			return pr.userVal(bestVal), nil
+			return bestVal[4:], nil
 		}
 		if b, err = pr.backoff(p, slot, round, maxSeen); err != nil {
 			return nil, err
 		}
 	}
 	return nil, ErrNoQuorum
-}
-
-// userVal strips the compact-mode logical-slot prefix from a full-payload
-// cell value, returning what the caller proposed.
-func (pr *Proposer) userVal(v []byte) []byte {
-	if pr.g.Cfg.Compact {
-		return v[4:]
-	}
-	return v
 }
 
 // promiseOne runs the phase-1 CAS loop on one acceptor: bump the promised
@@ -497,35 +492,52 @@ func (pr *Proposer) nearest() *endpoint {
 }
 
 // readChosen checks slot's learned cell on the nearest usable acceptor.
-func (pr *Proposer) readChosen(p *des.Proc, slot int) ([]byte, bool) {
+// A cell learned for a later logical slot reports ErrCompacted.
+func (pr *Proposer) readChosen(p *des.Proc, slot int) ([]byte, bool, error) {
 	pick := pr.nearest()
 	if pick == nil {
-		return nil, false
+		return nil, false, nil
 	}
 	stamp, v, err := pr.readCell(p, pick, pr.g.Cfg.learnedOff(slot))
 	if err != nil {
 		pr.noteErr(pick, err)
-		return nil, false
+		return nil, false, nil
 	}
 	if stamp == 0 {
-		return nil, false
+		return nil, false, nil
 	}
-	if pr.g.Cfg.Compact && be32(v) != uint32(slot) {
-		return nil, false
+	switch s := int(be32(v)); {
+	case s > slot:
+		return nil, false, pr.compacted(p)
+	case s < slot:
+		return nil, false, nil
 	}
-	return pr.userVal(v), true
+	return v[4:], true, nil
+}
+
+// compacted handles a learned or accepted cell whose logical-slot prefix
+// is above the slot being proposed. The physical slot was recycled, and
+// proposers only deposit inside [watermark, watermark+Slots), so the
+// proposed slot is below the watermark: already chosen and folded into
+// a snapshot. It refreshes the cached base, so Commit skips ahead, and
+// returns ErrCompacted. A failed refresh only leaves Commit stepping
+// one slot at a time.
+func (pr *Proposer) compacted(p *des.Proc) error {
+	_ = pr.refreshBase(p)
+	return ErrCompacted
 }
 
 // refreshBase re-reads the compaction watermark from the nearest usable
 // acceptor. The watermark only rises; a stale-low read is safe — phase-1
 // adoption re-chooses the original value for any recycled-but-still-
 // visible slot, and the cell prefix keeps recycled physical slots from
-// lying about their logical identity. The one hazard compaction cannot
-// survive is a proposer lagging a full window (Slots logical slots)
-// behind the head while holding a stale base: its deposits would target
-// physical slots already recycled for new occupants. The snapshot
-// trigger fires at 3/4 of the window, so a live proposer would have to
-// sit out Slots/4 committed decrees mid-operation to get there.
+// lying about their logical identity. A proposer that sat out more than
+// a window of other lanes' decrees (an idle client lane, or a replica's
+// lane when it turns leader and snapshots) holds a base and an
+// allocation hint a full window stale, so its next slot's physical slot
+// may already hold a later decree. Both readChosen and phase 1 see that
+// decree's higher prefix and report ErrCompacted through compacted,
+// which refreshes the base; no deposit ever overwrites it.
 func (pr *Proposer) refreshBase(p *des.Proc) error {
 	pick := pr.nearest()
 	if pick == nil {
@@ -582,20 +594,18 @@ func (pr *Proposer) backoff(p *des.Proc, slot, round int, maxSeen Ballot) (Ballo
 }
 
 // Commit finds the first open slot at or after the proposer's hint and
-// drives val into it, skipping slots other commands won. Returns the slot
-// chosen for val. In compact mode the log has no horizon: slots that fell
-// below the watermark mid-scan are skipped, and ErrLogFull means only
-// that the live window is full (the appliers are a full window behind).
+// drives val into it, skipping slots other commands won and slots that
+// fell below the watermark mid-scan. Returns the slot chosen for val.
+// ErrLogFull means the live window is full: under a ControlPlane the
+// appliers are a full window behind; on a bare Group, which nothing
+// snapshots, the log has reached slot Slots for good.
 func (pr *Proposer) Commit(p *des.Proc, val []byte) (int, error) {
-	cfg := pr.g.Cfg
-	mine := make([]byte, cfg.MaxValue())
+	mine := make([]byte, maxValue)
 	copy(mine, val)
-	for slot := pr.next; !cfg.Compact && slot < cfg.Slots || cfg.Compact; slot++ {
-		if cfg.Compact && slot < pr.base {
-			slot = pr.base
-		}
+	for slot := pr.next; ; slot++ {
+		slot = max(slot, pr.base)
 		chosen, err := pr.Propose(p, slot, val)
-		if cfg.Compact && errors.Is(err, ErrCompacted) {
+		if errors.Is(err, ErrCompacted) {
 			continue
 		}
 		if err != nil {
@@ -605,5 +615,4 @@ func (pr *Proposer) Commit(p *des.Proc, val []byte) (int, error) {
 			return slot, nil
 		}
 	}
-	return -1, ErrLogFull
 }

@@ -65,7 +65,7 @@ func TestHarnessGolden(t *testing.T) {
 				return nil, err
 			}
 			return *res, nil
-		}, `{Slots:16 Commits:40 Applied:44 Snapshots:1 SnapBase:42 Digest:10943828436053541987 LogsAgree:true ReplayOK:true Window:82.634536ms Events:331172}`},
+		}, `{Slots:16 Commits:40 Applied:44 Snapshots:1 SnapBase:42 Digest:10943828436053541987 LogsAgree:true ReplayOK:true Window:82.630536ms Events:331425}`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

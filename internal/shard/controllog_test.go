@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"netmem/internal/dfs"
 	"netmem/internal/model"
 	"netmem/internal/nameserver"
+	"netmem/internal/obs"
 	"netmem/internal/rmem"
 )
 
@@ -152,5 +154,181 @@ func TestCutoverCommitsMembershipThroughLog(t *testing.T) {
 	})
 	if err := env.RunUntil(des.Time(2 * time.Second)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// rejectLog wraps a control log and records every proposal it forwards
+// and the error each one returned.
+type rejectLog struct {
+	ControlLog
+	errs []error
+}
+
+func (l *rejectLog) RegisterName(p *des.Proc, rec nameserver.Record) error {
+	err := l.ControlLog.RegisterName(p, rec)
+	l.errs = append(l.errs, err)
+	return err
+}
+
+func (l *rejectLog) ProposeMembership(p *des.Proc, epoch uint32, blob []byte) error {
+	err := l.ControlLog.ProposeMembership(p, epoch, blob)
+	l.errs = append(l.errs, err)
+	return err
+}
+
+// TestControlLogErrorsCountEachRejection routes the shard tier through a
+// closed consensus client, so every proposal is rejected with
+// ErrLaneLost. Each rejection must be counted exactly once, in both
+// ControlLogErrors and the shard.clog.errors counter — through the
+// ring publication (with a name service) and through the bare cutover
+// decree (without one).
+func TestControlLogErrorsCountEachRejection(t *testing.T) {
+	for _, named := range []bool{true, false} {
+		name := "cutover-only"
+		if named {
+			name = "with-names"
+		}
+		t.Run(name, func(t *testing.T) {
+			// Nodes 0,1 founding shards; 2 the joiner; 3 the client; 4-6
+			// acceptors + replicas.
+			const (
+				nodes    = 7
+				joiner   = 2
+				client   = 3
+				firstRep = 4
+				replicas = 3
+			)
+			env := des.NewEnv()
+			env.Seed(1)
+			tr := obs.New(obs.Config{})
+			env.SetTracer(tr)
+			cl := cluster.New(env, &model.Default, nodes)
+			mgrs := make([]*rmem.Manager, nodes)
+			for i := range mgrs {
+				mgrs[i] = rmem.NewManager(cl.Nodes[i])
+			}
+			var (
+				svc *Service
+				log *rejectLog
+			)
+			ns := make([]*nameserver.Clerk, nodes)
+			env.Spawn("setup", func(p *des.Proc) {
+				peers := []int{0, 1, joiner, firstRep, firstRep + 1, firstRep + 2}
+				for _, n := range peers {
+					ns[n] = nameserver.New(mgrs[n], peers, nameserver.Config{})
+				}
+				p.Sleep(time.Millisecond)
+				g := consensus.NewGroup(p,
+					consensus.Config{Acceptors: replicas, Proposers: replicas + 1},
+					mgrs[firstRep:firstRep+replicas]...)
+				cp := consensus.NewControlPlane(p, g, ns[firstRep:firstRep+replicas])
+				if err := cp.Start(p); err != nil {
+					t.Errorf("start: %v", err)
+					return
+				}
+				cc := cp.NewClient(p, mgrs[client])
+				cc.Close(p)
+				log = &rejectLog{ControlLog: cc}
+				svc = NewService(p, mgrs[:2], nodes, dfs.Geometry{})
+				svc.ReplicateControl(log)
+				if named {
+					if err := svc.RegisterNames(p, ns); err != nil {
+						t.Errorf("RegisterNames: %v", err)
+						return
+					}
+				}
+				if _, err := svc.AddShard(p, mgrs[joiner]); err != nil {
+					t.Errorf("AddShard: %v", err)
+				}
+			})
+			if err := env.RunUntil(des.Time(500 * time.Millisecond)); err != nil {
+				t.Fatal(err)
+			}
+			if t.Failed() {
+				return
+			}
+			if len(log.errs) == 0 {
+				t.Fatal("no proposal reached the control log")
+			}
+			for i, err := range log.errs {
+				if !errors.Is(err, consensus.ErrLaneLost) {
+					t.Errorf("proposal %d: %v, want ErrLaneLost", i, err)
+				}
+			}
+			want := int64(len(log.errs))
+			if svc.ControlLogErrors != want {
+				t.Errorf("ControlLogErrors = %d, want %d", svc.ControlLogErrors, want)
+			}
+			if got := tr.CounterValue("shard.clog.errors"); got != want {
+				t.Errorf("shard.clog.errors = %d, want %d", got, want)
+			}
+		})
+	}
+}
+
+// TestMembershipDecreeLimit pins where the tier's membership decree
+// outgrows a log value (124 B). Four shards with a 2-member chain each
+// pack a 112-byte blob, a 126-byte command, and are refused with
+// ErrValueTooLarge; three chained shards (a 96-byte blob) still commit.
+func TestMembershipDecreeLimit(t *testing.T) {
+	// Nodes 0-3 the shards, 4-11 the chain members, 12 the client, 13-15
+	// acceptors + replicas.
+	const (
+		shards   = 4
+		firstMem = shards
+		client   = firstMem + 2*shards
+		firstRep = client + 1
+		replicas = 3
+		nodes    = firstRep + replicas
+	)
+	env := des.NewEnv()
+	env.Seed(1)
+	cl := cluster.New(env, &model.Default, nodes)
+	mgrs := make([]*rmem.Manager, nodes)
+	for i := range mgrs {
+		mgrs[i] = rmem.NewManager(cl.Nodes[i])
+	}
+	type try struct {
+		chained, blob int
+		err           error
+	}
+	var tries []try
+	done := false
+	env.Spawn("setup", func(p *des.Proc) {
+		g := consensus.NewGroup(p, consensus.Config{Acceptors: replicas, Proposers: replicas + 1},
+			mgrs[firstRep:]...)
+		cp := consensus.NewControlPlane(p, g, nil)
+		if err := cp.Start(p); err != nil {
+			t.Errorf("start: %v", err)
+			return
+		}
+		cc := cp.NewClient(p, mgrs[client])
+		svc := NewService(p, mgrs[:shards], nodes, dfs.Geometry{})
+		for slot := 0; slot < shards; slot++ {
+			mem := mgrs[firstMem+2*slot : firstMem+2*slot+2]
+			if err := svc.AttachReplicas(p, slot, mem, 100*time.Microsecond); err != nil {
+				t.Errorf("attach chain %d: %v", slot, err)
+				return
+			}
+			if slot >= shards-2 {
+				blob := svc.ringBlob()
+				tries = append(tries, try{slot + 1, len(blob), cc.ProposeMembership(p, 1, blob)})
+			}
+		}
+		done = true
+	})
+	if err := env.RunUntil(des.Time(500 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if !done {
+		t.Fatal("setup did not finish")
+	}
+	want := []try{{3, 96, nil}, {4, 112, consensus.ErrValueTooLarge}}
+	for i, w := range want {
+		got := tries[i]
+		if got.chained != w.chained || got.blob != w.blob || !errors.Is(got.err, w.err) {
+			t.Errorf("%d chained shards: %d-byte blob, %v; want %d-byte blob, %v",
+				got.chained, got.blob, got.err, w.blob, w.err)
+		}
 	}
 }

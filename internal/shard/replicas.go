@@ -144,9 +144,7 @@ func (s *Service) spliceChain(p *des.Proc, slot int) {
 	}
 	if s.clog != nil {
 		_, epoch := s.mb.Current()
-		if err := s.clog.ProposeMembership(p, uint32(epoch), s.ringBlob()); err != nil {
-			s.ControlLogErrors++
-		}
+		s.clogErr(s.clog.ProposeMembership(p, uint32(epoch), s.ringBlob()))
 	}
 }
 

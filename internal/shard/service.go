@@ -313,9 +313,7 @@ func (s *Service) cutover(p *des.Proc, next *Ring) error {
 		// No name service attached, but the epoch bump is still an agreed
 		// decree: replicas track the membership sequence either way.
 		_, epoch := s.mb.Current()
-		if err := s.clog.ProposeMembership(p, uint32(epoch), s.ringBlob()); err != nil {
-			s.ControlLogErrors++
-		}
+		s.clogErr(s.clog.ProposeMembership(p, uint32(epoch), s.ringBlob()))
 	}
 	return nil
 }
@@ -506,17 +504,20 @@ func (s *Service) replicateNames(p *des.Proc, epoch uint32, blob []byte, members
 		}
 	}
 	for _, rec := range recs {
-		if err := s.clog.RegisterName(p, rec); err != nil {
-			s.ControlLogErrors++
-		}
+		s.clogErr(s.clog.RegisterName(p, rec))
 	}
-	if err := s.clog.ProposeMembership(p, epoch, blob); err != nil {
-		s.ControlLogErrors++
+	s.clogErr(s.clog.ProposeMembership(p, epoch, blob))
+}
+
+// clogErr counts a rejected control-log proposal once, in both
+// ControlLogErrors and the shard.clog.errors counter.
+func (s *Service) clogErr(err error) {
+	if err == nil {
+		return
 	}
-	if s.ControlLogErrors > 0 {
-		if tr := s.ringHost.Node.Env.Tracer(); tr != nil {
-			tr.Count("shard.clog.errors", 1)
-		}
+	s.ControlLogErrors++
+	if tr := s.mgrs[0].Node.Env.Tracer(); tr != nil {
+		tr.Count("shard.clog.errors", 1)
 	}
 }
 

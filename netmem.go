@@ -218,7 +218,7 @@ var ReplicaSweep = shard.ReplicaSweep
 // the kernel receive path.
 type (
 	// ConsensusConfig sizes a consensus group (acceptors, proposer lanes,
-	// log slots, payload, lease cadence).
+	// the log-slot window, and whether acceptors run a lease heartbeat).
 	ConsensusConfig = consensus.Config
 	// ConsensusGroup is one consensus cell: the config plus its acceptors.
 	ConsensusGroup = consensus.Group
