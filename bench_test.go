@@ -173,12 +173,12 @@ func BenchmarkScalability(b *testing.B) {
 	var err error
 	for i := 0; i < b.N; i++ {
 		hy, err = workload.RunScale(workload.ScaleConfig{
-			Clients: 4, Mode: dfs.HY, Window: time.Second, ThinkTime: 2 * time.Millisecond})
+			Clients: 4, Mode: dfs.HY, Window: time.Second})
 		if err != nil {
 			b.Fatal(err)
 		}
 		dx, err = workload.RunScale(workload.ScaleConfig{
-			Clients: 4, Mode: dfs.DX, Window: time.Second, ThinkTime: 2 * time.Millisecond})
+			Clients: 4, Mode: dfs.DX, Window: time.Second})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func BenchmarkScaleSix(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		pt, err := workload.RunScale(workload.ScaleConfig{
-			Clients: 6, Mode: dfs.DX, Window: time.Second, ThinkTime: 2 * time.Millisecond})
+			Clients: 6, Mode: dfs.DX, Window: time.Second})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -525,10 +525,7 @@ func runShardSweep(maxShards int) {
 	t := stats.NewTable("Shards", "Clients", "Ops/s", "Per-shard util", "Mean util", "vs 1-shard", "Mean latency", "p99")
 	var base float64
 	for s := 1; s <= maxShards; s++ {
-		pt, err := workload.RunShardScale(workload.ShardScaleConfig{
-			Shards: s, Mode: dfs.DX,
-			Window: time.Second, ThinkTime: 2 * time.Millisecond,
-		})
+		pt, err := workload.RunShardScale(workload.ShardScaleConfig{Shards: s, Window: time.Second})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fsbench:", err)
 			os.Exit(1)
@@ -640,9 +637,7 @@ func runReplicaSweep(maxReplicas int) {
 // runElastic runs the elastic fleet sweep and prints the per-step table
 // plus the machine-checkable verdict lines CI greps for.
 func runElastic(seed int64) {
-	res, err := workload.RunElastic(workload.ElasticConfig{
-		Mode: dfs.DX, TokenCache: true, Seed: seed,
-	})
+	res, err := workload.RunElastic(workload.ElasticConfig{Seed: seed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fsbench:", err)
 		os.Exit(1)
@@ -694,10 +689,7 @@ func runScale(maxClients int) {
 	t := stats.NewTable("Clients", "Mode", "Ops/s", "Server util", "Mean latency", "p99")
 	for n := 1; n <= maxClients; n++ {
 		for _, mode := range []dfs.Mode{dfs.HY, dfs.DX} {
-			pt, err := workload.RunScale(workload.ScaleConfig{
-				Clients: n, Mode: mode,
-				Window: time.Second, ThinkTime: 2 * time.Millisecond,
-			})
+			pt, err := workload.RunScale(workload.ScaleConfig{Clients: n, Mode: mode, Window: time.Second})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "fsbench:", err)
 				os.Exit(1)

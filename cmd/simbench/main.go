@@ -148,7 +148,7 @@ func runMixedChaos() (uint64, error) {
 // runScale6 runs the six-client closed-loop mix once in the given mode.
 func runScale6(mode dfs.Mode) (uint64, error) {
 	pt, err := workload.RunScale(workload.ScaleConfig{
-		Clients: 6, Mode: mode, Window: time.Second, ThinkTime: 2 * time.Millisecond})
+		Clients: 6, Mode: mode, Window: time.Second})
 	if err != nil {
 		return 0, err
 	}

@@ -69,8 +69,6 @@ type Replica struct {
 	// blob (MirrorMembership), re-exported on every membership decree.
 	mirrorSeg *rmem.Segment
 
-	onApply []func(p *des.Proc, slot int, cmd Command)
-
 	// Applied counts decrees applied; Holes counts noop hole-fills this
 	// replica initiated.
 	Applied int64
@@ -294,9 +292,6 @@ func (r *Replica) apply(p *des.Proc, slot int, cmd Command) {
 		tr.Count("consensus.applied", 1)
 		tr.Count("consensus.applied."+cmd.Kind.String(), 1)
 	}
-	for _, fn := range r.onApply {
-		fn(p, slot, cmd)
-	}
 	r.maybeSnapshot()
 }
 
@@ -403,11 +398,6 @@ func (r *Replica) Checkpoint(p *des.Proc) (slot int, leaseEpoch uint32, leader i
 	leader = int(int32(binary.BigEndian.Uint32(buf[12:])))
 	digest = binary.BigEndian.Uint64(buf[16:])
 	return slot, leaseEpoch, leader, digest
-}
-
-// OnApply subscribes fn to every decree this replica applies, in order.
-func (r *Replica) OnApply(fn func(p *des.Proc, slot int, cmd Command)) {
-	r.onApply = append(r.onApply, fn)
 }
 
 // AwaitApplied blocks until the replica has applied at least n decrees.

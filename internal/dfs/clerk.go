@@ -128,15 +128,6 @@ func NewClerk(p *des.Proc, m *rmem.Manager, srv *Server, mode Mode, opts ...Cler
 	c.fenced = o.fenced
 	c.wireAreas(p, srv)
 	c.FlushLocal()
-	if o.callTimeout > 0 {
-		c.CallTimeout = o.callTimeout
-	}
-	if o.readAhead {
-		c.EnableReadAhead(p)
-	}
-	if o.eagerAttrs {
-		c.EnableEagerAttrs(p, srv)
-	}
 	return c
 }
 

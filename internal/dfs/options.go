@@ -1,9 +1,6 @@
 package dfs
 
-import (
-	"netmem/internal/des"
-	"netmem/internal/fstore"
-)
+import "netmem/internal/fstore"
 
 // ServerOption configures NewServer, in the same variadic style as the
 // facade's netmem.New.
@@ -33,23 +30,8 @@ func WithReliableReplies() ServerOption {
 type ClerkOption func(*clerkOptions)
 
 type clerkOptions struct {
-	readAhead   bool
-	eagerAttrs  bool
-	reliable    bool
-	fenced      bool
-	callTimeout des.Duration
-}
-
-// WithReadAhead turns on sequential read-ahead: the clerk prefetches the
-// next file block while the client consumes the current one.
-func WithReadAhead() ClerkOption {
-	return func(o *clerkOptions) { o.readAhead = true }
-}
-
-// WithEagerAttrs subscribes the clerk to the server's eager attribute
-// pushes (§3.2's update-board pattern).
-func WithEagerAttrs() ClerkOption {
-	return func(o *clerkOptions) { o.eagerAttrs = true }
+	reliable bool
+	fenced   bool
 }
 
 // WithReliable routes every clerk→server transfer — cache-area probes,
@@ -58,12 +40,6 @@ func WithEagerAttrs() ClerkOption {
 // links that lose cells. Costs one extra cell on small writes.
 func WithReliable() ClerkOption {
 	return func(o *clerkOptions) { o.reliable = true }
-}
-
-// WithCallTimeout bounds one request-channel exchange. Unset, the bound
-// derives from the model's retry policy (see Clerk.CallTimeout).
-func WithCallTimeout(d des.Duration) ClerkOption {
-	return func(o *clerkOptions) { o.callTimeout = d }
 }
 
 // WithFencing makes every clerk→server descriptor carry the server's

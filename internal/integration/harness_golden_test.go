@@ -25,19 +25,19 @@ func TestHarnessGolden(t *testing.T) {
 	}{
 		{"RunScale/DX", func() (any, error) {
 			return workload.RunScale(workload.ScaleConfig{Clients: 2, Mode: dfs.DX,
-				Window: 100 * time.Millisecond, ThinkTime: 2 * time.Millisecond})
+				Window: 100 * time.Millisecond})
 		}, `{Mode:DX Clients:2 OpsDone:89 OpsPerSec:891.2483983690474 ServerUtil:0.10505815811381476 MeanLatMs:0.27415 P99Ms:1.910412 Events:10111}`},
 		{"RunScale/HY", func() (any, error) {
 			return workload.RunScale(workload.ScaleConfig{Clients: 2, Mode: dfs.HY,
-				Window: 100 * time.Millisecond, ThinkTime: 2 * time.Millisecond})
+				Window: 100 * time.Millisecond})
 		}, `{Mode:HY Clients:2 OpsDone:74 OpsPerSec:740.0174422111129 ServerUtil:0.35686865139411333 MeanLatMs:0.737861 P99Ms:2.629632 Events:12932}`},
 		{"RunShardScale", func() (any, error) {
 			return workload.RunShardScale(workload.ShardScaleConfig{Shards: 2, ClientsPerShard: 2,
-				Mode: dfs.DX, TokenCache: true, Window: 100 * time.Millisecond, ThinkTime: 2 * time.Millisecond})
+				TokenCache: true, Window: 100 * time.Millisecond})
 		}, `{Mode:DX Shards:2 Clients:4 OpsDone:162 OpsPerSec:1620.027297459962 ShardUtil:[0.22027671166259152 0.12003702262383122] MeanUtil:0.17015686714321138 MeanLatMs:0.473829 P99Ms:2.842624 TokenHits:1 Events:34038}`},
 		{"RunElastic", func() (any, error) {
 			res, err := workload.RunElastic(workload.ElasticConfig{StartShards: 2, PeakShards: 3,
-				Clients: 2, Mode: dfs.DX, TokenCache: true, Hold: 40 * time.Millisecond, Seed: 1})
+				Clients: 2, Hold: 40 * time.Millisecond, Seed: 1})
 			if err != nil {
 				return nil, err
 			}

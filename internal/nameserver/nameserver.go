@@ -129,11 +129,6 @@ type Config struct {
 	Policy       LookupPolicy // remote lookup policy; default ProbeForever
 	ProbeLimit   int          // probes before transfer under ProbeThenTransfer; 0 ⇒ 7
 	RefreshEvery des.Duration // cache refresh period; 0 ⇒ no periodic daemon
-	// Reliable routes the clerk's peer traffic — registry probes, refresh
-	// re-reads, and control-transfer lookups — through the reliability
-	// layer, so lookups survive cell loss instead of falling back on
-	// timeouts (§3.7).
-	Reliable bool
 }
 
 func (c *Config) fill() {
@@ -229,11 +224,6 @@ func New(m *rmem.Manager, peers []int, cfg Config) *Clerk {
 			c.peerReg[peer] = m.Import(p, peer, RegistrySeg, registryGen, cfg.Buckets*recStride)
 			c.peerReq[peer] = m.Import(p, peer, RequestSeg, requestGen, 256*reqSlotSize)
 			c.peerRep[peer] = m.Import(p, peer, ReplySeg, replyGen, 256*repSlotSize)
-			if cfg.Reliable {
-				c.peerReg[peer].SetReliable(true)
-				c.peerReq[peer].SetReliable(true)
-				c.peerRep[peer].SetReliable(true)
-			}
 		}
 		c.request.OnNotify(c.serveControlLookup)
 		if cfg.RefreshEvery > 0 {

@@ -32,9 +32,6 @@ type Config struct {
 	// MaxEvents bounds the event buffer (default DefaultMaxEvents); events
 	// beyond the bound are counted in Dropped rather than stored.
 	MaxEvents int
-	// TimelineBucket is the CPU-utilization timeline bucket width
-	// (default stats.DefaultTimelineBucket).
-	TimelineBucket time.Duration
 }
 
 // DefaultMaxEvents bounds the event buffer unless Config overrides it.
@@ -192,7 +189,7 @@ func (t *Tracer) Usage(name string, start, dur time.Duration) {
 	}
 	tl := t.timelines[name]
 	if tl == nil {
-		tl = &stats.Timeline{Bucket: t.cfg.TimelineBucket}
+		tl = &stats.Timeline{}
 		t.timelines[name] = tl
 	}
 	tl.Add(start, dur)

@@ -116,7 +116,7 @@ func TestChromeTraceExportValidAndOrdered(t *testing.T) {
 
 func TestSnapshotDeterministic(t *testing.T) {
 	mk := func() Snapshot {
-		tr := New(Config{TimelineBucket: time.Millisecond})
+		tr := New(Config{})
 		// Insertion orders differ run to run only if we depended on map
 		// iteration; exercise several keys.
 		for _, k := range []string{"b", "a", "c"} {

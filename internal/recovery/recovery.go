@@ -2,18 +2,18 @@
 // primitives deliberately carry no fault tolerance — §3.7 shows how a
 // watchdog composes from a periodic remote read — but detection alone
 // leaves a clerk wedged on descriptors into a dead machine. The
-// coordinator closes the loop: a heartbeat watchdog's verdict fences the
-// dead peer in the name service (no more probe storms), runs the
+// coordinator closes the loop: a heartbeat watchdog's verdict runs the
 // registered failover steps (promote a standby, re-import, rebind) with
 // capped exponential backoff, and measures the outage — MTTR from the
 // last probe that proved the peer alive to the moment the last step
 // completed, the recovery-latency metric kernel-bypass systems are judged
-// by.
+// by. With a replicated verdict log, the verdict is first proposed as a
+// fence decree, and no step runs until it commits.
 //
 // The coordinator is service-agnostic: it knows nothing about the file
 // service. Services register their own steps (dfs wires standby takeover
 // and clerk rebind); the coordinator supplies ordering, retry policy,
-// fencing, and measurement.
+// the verdict gate, and measurement.
 package recovery
 
 import (
@@ -21,28 +21,22 @@ import (
 	"time"
 
 	"netmem/internal/des"
-	"netmem/internal/nameserver"
 	"netmem/internal/rmem"
 )
 
 // Config tunes detection and repair. Zero values are filled from the
-// node's model parameters.
+// node's model parameters. Each probe read is bounded by the model's
+// RetryTimeout, and failover-step retries back off from RetryTimeout,
+// doubling up to RetryBackoffMax.
 type Config struct {
 	// Interval is the heartbeat probe cadence (default 250 µs).
 	Interval des.Duration
-	// ProbeTimeout bounds each probe read (default model.RetryTimeout).
-	ProbeTimeout des.Duration
 	// Grace is the liveness lease: consecutive failed probes before the
 	// verdict (default 4, so a link flap shorter than Grace×Interval is
 	// never reported as a node death).
 	Grace int
-	// Backoff is the initial delay between failover-step retries (default
-	// model.RetryTimeout); BackoffMax caps the doubling (default
-	// model.RetryBackoffMax); Attempts bounds retries per step (default
-	// model.RetryLimit).
-	Backoff    des.Duration
-	BackoffMax des.Duration
-	Attempts   int
+	// Attempts bounds retries per step (default model.RetryLimit).
+	Attempts int
 	// FenceWait is how long the coordinator sits between the fence
 	// decree committing and the first failover step, when verdicts are
 	// replicated. Set it to the victim's write-lease TTL: by the time the
@@ -53,24 +47,14 @@ type Config struct {
 }
 
 func (c *Config) fill(m *rmem.Manager) {
-	p := m.Node.P
 	if c.Interval <= 0 {
 		c.Interval = 250 * time.Microsecond
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = p.RetryTimeout
 	}
 	if c.Grace <= 0 {
 		c.Grace = 4
 	}
-	if c.Backoff <= 0 {
-		c.Backoff = p.RetryTimeout
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = p.RetryBackoffMax
-	}
 	if c.Attempts <= 0 {
-		c.Attempts = p.RetryLimit
+		c.Attempts = m.Node.P.RetryLimit
 	}
 }
 
@@ -97,7 +81,6 @@ type Coordinator struct {
 	peer int
 	cfg  Config
 
-	names []*nameserver.Clerk
 	steps []Step
 	watch *rmem.Watchdog
 	vlog  VerdictLog
@@ -136,13 +119,6 @@ func Arm(p *des.Proc, primary, watcher *rmem.Manager, interval des.Duration, cfg
 	return New(watcher, primary.Node.ID, cfg), hb
 }
 
-// FenceNames registers name-service clerks to fence on the verdict (and
-// unfence once recovery completes, when the peer's new incarnation is
-// lookup-able again).
-func (c *Coordinator) FenceNames(clerks ...*nameserver.Clerk) {
-	c.names = append(c.names, clerks...)
-}
-
 // ReplicateVerdicts makes vl the gate for this coordinator's failover:
 // the watchdog verdict is only a *proposal*, and no repair step runs
 // until the fence decree commits on a quorum of log replicas. If the
@@ -165,7 +141,7 @@ func (c *Coordinator) OnFailover(name string, run func(p *des.Proc) error) {
 func (c *Coordinator) Watch(imp *rmem.Import, off int) *rmem.Watchdog {
 	c.watch = rmem.NewWatchdogCfg(c.m, imp, off, rmem.WatchdogConfig{
 		Interval: c.cfg.Interval,
-		Timeout:  c.cfg.ProbeTimeout,
+		Timeout:  c.m.Node.P.RetryTimeout,
 		Grace:    c.cfg.Grace,
 	}, c.failover)
 	return c.watch
@@ -174,7 +150,7 @@ func (c *Coordinator) Watch(imp *rmem.Import, off int) *rmem.Watchdog {
 // Watchdog returns the active watchdog (nil before Watch).
 func (c *Coordinator) Watchdog() *rmem.Watchdog { return c.watch }
 
-// failover is the watchdog's onFail callback: fence, repair, measure.
+// failover is the watchdog's onFail callback: gate, repair, measure.
 func (c *Coordinator) failover(p *des.Proc, verdict error) {
 	env := c.m.Node.Env
 	c.failed = true
@@ -184,8 +160,8 @@ func (c *Coordinator) failover(p *des.Proc, verdict error) {
 		tr.Count("recovery.failovers", 1)
 	}
 	if c.vlog != nil {
-		// Gated path: the verdict is a proposal. Nothing — not even the
-		// local name-service fence — happens unless the decree commits.
+		// Gated path: the verdict is a proposal. Nothing happens unless
+		// the decree commits.
 		if err := c.vlog.ProposeFence(p, c.peer); err != nil {
 			c.aborted = true
 			c.m.Node.Faults = append(c.m.Node.Faults,
@@ -202,21 +178,15 @@ func (c *Coordinator) failover(p *des.Proc, verdict error) {
 			p.Sleep(c.cfg.FenceWait)
 		}
 	}
-	for _, ns := range c.names {
-		ns.FencePeer(c.peer)
-	}
 	for _, step := range c.steps {
 		if err := c.runStep(p, step); err != nil {
-			// The outage persists; leave the peer fenced and report the
-			// stall. Waiters see failed-but-not-restored and time out.
+			// The outage persists; report the stall. Waiters see
+			// failed-but-not-restored and time out.
 			c.m.Node.Faults = append(c.m.Node.Faults,
 				fmt.Errorf("recovery: node %d: step %q gave up after %v (verdict: %v): %w",
 					c.m.Node.ID, step.Name, c.cfg.Attempts, verdict, err))
 			return
 		}
-	}
-	for _, ns := range c.names {
-		ns.UnfencePeer(c.peer)
 	}
 	if c.vlog != nil {
 		if err := c.vlog.ProposeUnfence(p, c.peer); err != nil {
@@ -241,14 +211,15 @@ func (c *Coordinator) failover(p *des.Proc, verdict error) {
 // runStep executes one repair action with capped exponential backoff.
 func (c *Coordinator) runStep(p *des.Proc, step Step) error {
 	tr := c.m.Node.Env.Tracer()
-	delay := c.cfg.Backoff
+	pp := c.m.Node.P
+	delay := pp.RetryTimeout
 	var err error
 	for attempt := 0; attempt <= c.cfg.Attempts; attempt++ {
 		if attempt > 0 {
 			p.Sleep(delay)
 			delay *= 2
-			if delay > c.cfg.BackoffMax {
-				delay = c.cfg.BackoffMax
+			if delay > pp.RetryBackoffMax {
+				delay = pp.RetryBackoffMax
 			}
 			if tr != nil {
 				tr.Count("recovery.step.retries", 1)

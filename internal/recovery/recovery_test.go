@@ -142,16 +142,18 @@ func TestCoordinatorFailoverMTTR(t *testing.T) {
 
 // A step that keeps failing exhausts its retry budget; the coordinator
 // reports the stall as a node fault and stays un-restored, and waiters
-// time out instead of hanging.
+// time out instead of hanging. The retries back off on the model's
+// schedule: RetryTimeout, doubling each time, capped at RetryBackoffMax —
+// eight retries are enough to reach the cap.
 func TestCoordinatorStepGiveup(t *testing.T) {
 	camp := faults.Campaign{Name: "one-crash", Crashes: []faults.Crash{
 		{Node: 0, At: 2 * time.Millisecond},
 	}}
 	broken := errors.New("standby also dead")
-	attempts := 0
-	r := newRig(t, 1, camp, recovery.Config{Grace: 2, Attempts: 3},
+	var at []des.Time
+	r := newRig(t, 1, camp, recovery.Config{Grace: 2, Attempts: 8},
 		recovery.Step{Name: "takeover", Run: func(p *des.Proc) error {
-			attempts++
+			at = append(at, p.Now())
 			return broken
 		}},
 	)
@@ -165,8 +167,18 @@ func TestCoordinatorStepGiveup(t *testing.T) {
 	if err := r.env.RunUntil(des.Time(100 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if attempts != 4 { // initial try + 3 retries
-		t.Fatalf("attempts = %d, want 4", attempts)
+	if len(at) != 9 { // initial try + 8 retries
+		t.Fatalf("attempts = %d, want 9", len(at))
+	}
+	want := model.Default.RetryTimeout
+	for i := 1; i < len(at); i++ {
+		if gap := time.Duration(at[i].Sub(at[i-1])); gap != want {
+			t.Errorf("gap before retry %d = %v, want %v", i, gap, want)
+		}
+		want = min(2*want, model.Default.RetryBackoffMax)
+	}
+	if last := time.Duration(at[8].Sub(at[7])); last != model.Default.RetryBackoffMax {
+		t.Fatalf("last gap %v, want the %v cap", last, model.Default.RetryBackoffMax)
 	}
 	if r.rec.Restored() {
 		t.Fatal("coordinator restored despite a permanently failing step")

@@ -389,12 +389,8 @@ func (m *Manager) Lookup(id uint16) (*Segment, bool) {
 // SetReliableDefault makes imports installed after this call reliable (or
 // not) by default; individual imports can still override with
 // Import.SetReliable. Services opt whole managers in through their own
-// options (dfs.WithReliable, nameserver.Config.Reliable, …).
+// options (dfs.WithReliable, …).
 func (m *Manager) SetReliableDefault(v bool) { m.relDefault = v }
-
-// SetRetryPolicy overrides the manager's retry policy (defaults come from
-// the model's RetryTimeout/RetryBackoffMax/RetryLimit).
-func (m *Manager) SetRetryPolicy(cfg reliable.Config) { m.relCfg = cfg }
 
 // BumpGeneration starts a new sender incarnation, as after a crash and
 // restart: receivers discard any of the previous incarnation's frames

@@ -11,26 +11,18 @@ import (
 )
 
 // The closed-loop harnesses (RunScale, RunShardScale, RunElastic) share one
-// client population, one set of defaults and one point arithmetic; each
-// keeps only its topology and what it measures around the loop.
+// client population, one tree and one point arithmetic; each keeps only its
+// topology and what it measures around the loop.
 
-// loopDefaults applies the defaults every closed-loop config shares: a
-// negative think time clamps to zero, the trace seed defaults to 1, and the
-// tree to 4 directories of 8 files.
-func loopDefaults(think *time.Duration, seed *int64, dirs, perDir *int) {
-	if *think < 0 {
-		*think = 0
-	}
-	if *seed == 0 {
-		*seed = 1
-	}
-	if *dirs <= 0 {
-		*dirs = 4
-	}
-	if *perDir <= 0 {
-		*perDir = 8
-	}
-}
+// The shape every closed-loop run shares: a tree of 4 directories of 8
+// files, client traces seeded from 1, and a 2 ms think time between ops
+// (the elastic sweep runs its clients back to back).
+const (
+	loopDirs   = 4
+	loopPerDir = 8
+	loopSeed   = 1
+	loopThink  = 2 * time.Millisecond
+)
 
 // clients is a closed-loop client population: one daemon per clerk, each
 // replaying its own Table 1a stream back to back with a think-time pause.
@@ -93,18 +85,18 @@ func (cs *clients) window(env *des.Env, start des.Time, w time.Duration) (loopPo
 	return pt, nil
 }
 
-// shardClerks builds one sharding-aware clerk per manager, meshed as token
+// shardClerks builds one sharding-aware DX clerk per manager, meshed as token
 // peers when tokenCache layers the token-coherent block cache. The token
 // cache survives FlushLocal by design, so it still shows up in a closed
 // loop — as reads the servers never see.
-func shardClerks(p *des.Proc, mgrs []*rmem.Manager, svc *shard.Service, mode dfs.Mode, tokenCache bool) []*shard.Clerk {
+func shardClerks(p *des.Proc, mgrs []*rmem.Manager, svc *shard.Service, tokenCache bool) []*shard.Clerk {
 	var copts []shard.ClerkOption
 	if tokenCache {
 		copts = append(copts, shard.WithTokenCache())
 	}
 	clerks := make([]*shard.Clerk, len(mgrs))
 	for i, m := range mgrs {
-		clerks[i] = shard.NewClerk(p, m, svc, mode, copts...)
+		clerks[i] = shard.NewClerk(p, m, svc, dfs.DX, copts...)
 	}
 	if tokenCache {
 		shard.ConnectTokenPeers(p, clerks...)

@@ -66,18 +66,14 @@ type ElasticResult struct {
 	Events          uint64
 }
 
-// ElasticConfig parameterizes the sweep.
+// ElasticConfig parameterizes the sweep. Clients run the DX structure with
+// the token cache on.
 type ElasticConfig struct {
-	StartShards int // sweep start and end (default 2)
-	PeakShards  int // sweep apex (default 8)
-	Clients     int // fixed client population (default 8)
-	Mode        dfs.Mode
-	TokenCache  bool
+	StartShards int           // sweep start and end (default 2)
+	PeakShards  int           // sweep apex (default 8)
+	Clients     int           // fixed client population (default 8)
 	Hold        time.Duration // plateau hold window (default 150ms)
-	ThinkTime   time.Duration
-	Seed        int64
-	Dirs        int
-	PerDir      int
+	Seed        int64         // default 1
 }
 
 func (c *ElasticConfig) fill() {
@@ -93,7 +89,9 @@ func (c *ElasticConfig) fill() {
 	if c.Hold <= 0 {
 		c.Hold = 150 * time.Millisecond
 	}
-	loopDefaults(&c.ThinkTime, &c.Seed, &c.Dirs, &c.PerDir)
+	if c.Seed == 0 {
+		c.Seed = loopSeed
+	}
 }
 
 // RunElastic executes the sweep: shard slots on nodes 0..Peak-1 (only
@@ -110,10 +108,10 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 	err := leg.Setup("setup", 500*time.Millisecond, func(p *des.Proc) (err error) {
 		svc = shard.NewService(p, leg.Mgrs[:cfg.StartShards], nodes, dfs.Geometry{})
 		mgr = shard.NewManager(svc, leg.Mgrs[cfg.StartShards:cfg.PeakShards])
-		if tree, err = BuildTreeOn(svc.Store, svc, cfg.Dirs, cfg.PerDir); err != nil {
+		if tree, err = BuildTreeOn(svc.Store, svc, loopDirs, loopPerDir); err != nil {
 			return err
 		}
-		clerks = shardClerks(p, leg.Mgrs[cfg.PeakShards:], svc, cfg.Mode, cfg.TokenCache)
+		clerks = shardClerks(p, leg.Mgrs[cfg.PeakShards:], svc, true)
 		return nil
 	})
 	if err != nil {
@@ -125,10 +123,10 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 	keys = append(keys, tree.Dirs...)
 	keys = append(keys, tree.Links...)
 
-	res := &ElasticResult{Mode: cfg.Mode, TokenCache: cfg.TokenCache, Keys: len(keys)}
+	res := &ElasticResult{Mode: dfs.DX, TokenCache: true, Keys: len(keys)}
 	// Failures do not stop the clients: they land in the plateau's
 	// recorder, which the sweep swaps at each phase boundary.
-	cs := startClients(leg.Env, clerks, tree, cfg.Seed, cfg.ThinkTime, false)
+	cs := startClients(leg.Env, clerks, tree, cfg.Seed, 0, false)
 
 	// The sweep: StartShards → PeakShards → StartShards, one at a time.
 	var sweep []int

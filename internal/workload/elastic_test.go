@@ -3,8 +3,6 @@ package workload
 import (
 	"testing"
 	"time"
-
-	"netmem/internal/dfs"
 )
 
 // A miniature sweep (2→3→2, short plateaus) through the full RunElastic
@@ -14,8 +12,6 @@ func TestRunElasticSmallSweep(t *testing.T) {
 		StartShards: 2,
 		PeakShards:  3,
 		Clients:     2,
-		Mode:        dfs.DX,
-		TokenCache:  true,
 		Hold:        40 * time.Millisecond,
 		Seed:        1,
 	})

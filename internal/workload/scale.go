@@ -31,20 +31,9 @@ type ScalePoint struct {
 
 // ScaleConfig parameterizes the experiment.
 type ScaleConfig struct {
-	Clients   int
-	Mode      dfs.Mode
-	Window    time.Duration // measurement window of virtual time
-	ThinkTime time.Duration // per-client pause between operations
-	Seed      int64
-	Dirs      int
-	PerDir    int
-}
-
-func (c *ScaleConfig) fill() {
-	if c.Window <= 0 {
-		c.Window = 2 * time.Second
-	}
-	loopDefaults(&c.ThinkTime, &c.Seed, &c.Dirs, &c.PerDir)
+	Clients int
+	Mode    dfs.Mode
+	Window  time.Duration // measurement window of virtual time (default 2s)
 }
 
 // RunScale executes one scalability measurement: the server on node 0,
@@ -52,14 +41,16 @@ func (c *ScaleConfig) fill() {
 // the same accounting path the open-loop engine uses — so both loop styles
 // emit the same stat schema.
 func RunScale(cfg ScaleConfig) (ScalePoint, error) {
-	cfg.fill()
+	if cfg.Window <= 0 {
+		cfg.Window = 2 * time.Second
+	}
 	leg := dfs.NewLeg(nil, 0, cfg.Clients+1)
 	var srv *dfs.Server
 	var tree *Tree
 	clerks := make([]*dfs.Clerk, cfg.Clients)
 	err := leg.Setup("setup", 500*time.Millisecond, func(p *des.Proc) (err error) {
 		srv = dfs.NewServer(p, leg.Mgrs[0], cfg.Clients+1, dfs.Geometry{})
-		if tree, err = BuildTree(srv, cfg.Dirs, cfg.PerDir); err != nil {
+		if tree, err = BuildTree(srv, loopDirs, loopPerDir); err != nil {
 			return err
 		}
 		for i := range clerks {
@@ -73,7 +64,7 @@ func RunScale(cfg ScaleConfig) (ScalePoint, error) {
 
 	start := leg.Env.Now()
 	srv.Node().ResetCPUAcct()
-	lp, err := startClients(leg.Env, clerks, tree, cfg.Seed, cfg.ThinkTime, true).window(leg.Env, start, cfg.Window)
+	lp, err := startClients(leg.Env, clerks, tree, loopSeed, loopThink, true).window(leg.Env, start, cfg.Window)
 	if err != nil {
 		return ScalePoint{}, err
 	}

@@ -30,17 +30,13 @@ type ShardScalePoint struct {
 	Events    uint64
 }
 
-// ShardScaleConfig parameterizes the experiment.
+// ShardScaleConfig parameterizes the experiment. Every point runs the DX
+// structure.
 type ShardScaleConfig struct {
 	Shards          int
 	ClientsPerShard int
-	Mode            dfs.Mode
 	TokenCache      bool // layer the token-coherent client block cache
 	Window          time.Duration
-	ThinkTime       time.Duration
-	Seed            int64
-	Dirs            int
-	PerDir          int
 }
 
 func (c *ShardScaleConfig) fill() {
@@ -53,7 +49,6 @@ func (c *ShardScaleConfig) fill() {
 	if c.Window <= 0 {
 		c.Window = 2 * time.Second
 	}
-	loopDefaults(&c.ThinkTime, &c.Seed, &c.Dirs, &c.PerDir)
 }
 
 // RunShardScale executes one sharded scalability measurement: shard nodes
@@ -67,10 +62,10 @@ func RunShardScale(cfg ShardScaleConfig) (ShardScalePoint, error) {
 	var clerks []*shard.Clerk
 	err := leg.Setup("setup", 500*time.Millisecond, func(p *des.Proc) (err error) {
 		svc := shard.NewService(p, leg.Mgrs[:cfg.Shards], nodes, dfs.Geometry{})
-		if tree, err = BuildTreeOn(svc.Store, svc, cfg.Dirs, cfg.PerDir); err != nil {
+		if tree, err = BuildTreeOn(svc.Store, svc, loopDirs, loopPerDir); err != nil {
 			return err
 		}
-		clerks = shardClerks(p, leg.Mgrs[cfg.Shards:], svc, cfg.Mode, cfg.TokenCache)
+		clerks = shardClerks(p, leg.Mgrs[cfg.Shards:], svc, cfg.TokenCache)
 		return nil
 	})
 	if err != nil {
@@ -82,12 +77,12 @@ func RunShardScale(cfg ShardScaleConfig) (ShardScalePoint, error) {
 	for _, n := range shardNodes {
 		n.ResetCPUAcct()
 	}
-	lp, err := startClients(leg.Env, clerks, tree, cfg.Seed, cfg.ThinkTime, true).window(leg.Env, start, cfg.Window)
+	lp, err := startClients(leg.Env, clerks, tree, loopSeed, loopThink, true).window(leg.Env, start, cfg.Window)
 	if err != nil {
 		return ShardScalePoint{}, err
 	}
 	pt := ShardScalePoint{
-		Mode:      cfg.Mode,
+		Mode:      dfs.DX,
 		Shards:    cfg.Shards,
 		Clients:   clients,
 		OpsDone:   lp.Ops,

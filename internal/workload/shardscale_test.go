@@ -3,14 +3,11 @@ package workload
 import (
 	"testing"
 	"time"
-
-	"netmem/internal/dfs"
 )
 
 func TestRunShardScaleSmoke(t *testing.T) {
 	pt, err := RunShardScale(ShardScaleConfig{
-		Shards: 2, ClientsPerShard: 2, Mode: dfs.DX,
-		Window: 200 * time.Millisecond, ThinkTime: 2 * time.Millisecond,
+		Shards: 2, ClientsPerShard: 2, Window: 200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -33,8 +30,7 @@ func TestRunShardScaleSmoke(t *testing.T) {
 func TestShardScaleOccupancyFlat(t *testing.T) {
 	run := func(shards int) utilPoint {
 		pt, err := RunShardScale(ShardScaleConfig{
-			Shards: shards, Mode: dfs.DX,
-			Window: time.Second, ThinkTime: 2 * time.Millisecond,
+			Shards: shards, Window: time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -61,8 +57,8 @@ type utilPoint struct {
 
 func TestRunShardScaleTokenCache(t *testing.T) {
 	pt, err := RunShardScale(ShardScaleConfig{
-		Shards: 2, ClientsPerShard: 2, Mode: dfs.DX, TokenCache: true,
-		Window: 200 * time.Millisecond, ThinkTime: 2 * time.Millisecond,
+		Shards: 2, ClientsPerShard: 2, TokenCache: true,
+		Window: 200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

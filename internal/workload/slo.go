@@ -11,27 +11,24 @@ import (
 // at a fixed client population, emitting one machine-readable document
 // (BENCH_SLO.json) that later scaling PRs are judged against.
 
-// SLOSweepConfig parameterizes RunSLOSweep.
+// SLOSweepConfig parameterizes RunSLOSweep. Every point serves 100k
+// simulated clients for a 1 s window on the 4-shard + 3-replica tier with
+// 5‰ stragglers, over all three shapes × key skew {0, 0.9, 1.2}.
 type SLOSweepConfig struct {
-	// Clients is the simulated population per point (default 100k).
-	Clients int
-	// RatePerClient and Window follow OpenLoopConfig defaults when zero.
-	RatePerClient float64
-	Window        time.Duration
-	// Shapes and Thetas span the sweep grid; empty gets all three shapes
-	// × {0, 0.9, 1.2}.
-	Shapes []Shape
-	Thetas []float64
-	// Shards/Replicas shape the serving tier (defaults 4 and 3).
-	Shards   int
-	Replicas int
-	// StragglerPerMille injects slow clients (default 5‰).
-	StragglerPerMille int
-	// Seed pins the whole sweep.
+	// Seed pins the whole sweep (default 1).
 	Seed int64
 	// Campaign, when set, runs every point under the fault schedule.
 	Campaign *faults.Campaign
 }
+
+// The tier and load every grid point runs.
+const (
+	sloClients    = 100_000
+	sloWindow     = time.Second
+	sloShards     = 4
+	sloReplicas   = 3
+	sloStragglers = 5 // per mille
+)
 
 // BenchSLOSchema identifies the BENCH_SLO.json layout.
 const BenchSLOSchema = "netmem/bench_slo/v1"
@@ -47,74 +44,48 @@ type BenchSLO struct {
 	Points   []*OpenLoopResult `json:"points"`
 }
 
-func (c *SLOSweepConfig) fill() {
-	if c.Clients <= 0 {
-		c.Clients = 100_000
+// points returns the filled OpenLoopConfig of every grid cell, shape-major.
+func (c SLOSweepConfig) points() []OpenLoopConfig {
+	var pts []OpenLoopConfig
+	for _, shape := range []Shape{ShapeSteady, ShapeDiurnal, ShapeFlash} {
+		for _, theta := range []float64{0, 0.9, 1.2} {
+			pt := OpenLoopConfig{
+				Clients:           sloClients,
+				Window:            sloWindow,
+				Shape:             shape,
+				ZipfTheta:         theta,
+				Shards:            sloShards,
+				Replicas:          sloReplicas,
+				StragglerPerMille: sloStragglers,
+				Seed:              c.Seed,
+				Campaign:          c.Campaign,
+			}
+			pt.Fill()
+			pts = append(pts, pt)
+		}
 	}
-	if c.Window <= 0 {
-		c.Window = time.Second
-	}
-	if len(c.Shapes) == 0 {
-		c.Shapes = []Shape{ShapeSteady, ShapeDiurnal, ShapeFlash}
-	}
-	if len(c.Thetas) == 0 {
-		c.Thetas = []float64{0, 0.9, 1.2}
-	}
-	if c.Shards <= 0 {
-		c.Shards = 4
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 3
-	}
-	if c.Replicas < 0 {
-		c.Replicas = 0
-	}
-	if c.StragglerPerMille == 0 {
-		c.StragglerPerMille = 5
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
-
-// PointConfig returns the OpenLoopConfig for one (shape, theta) grid cell.
-func (c SLOSweepConfig) PointConfig(shape Shape, theta float64) OpenLoopConfig {
-	c.fill()
-	cfg := OpenLoopConfig{
-		Clients:           c.Clients,
-		RatePerClient:     c.RatePerClient,
-		Window:            c.Window,
-		Shape:             shape,
-		ZipfTheta:         theta,
-		Shards:            c.Shards,
-		Replicas:          c.Replicas,
-		StragglerPerMille: c.StragglerPerMille,
-		Seed:              c.Seed,
-		Campaign:          c.Campaign,
-	}
-	cfg.Fill()
-	return cfg
+	return pts
 }
 
 // RunSLOSweep measures every (shape, theta) grid cell.
 func RunSLOSweep(cfg SLOSweepConfig) (*BenchSLO, error) {
-	cfg.fill()
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
 	doc := &BenchSLO{
 		Schema:   BenchSLOSchema,
 		Seed:     cfg.Seed,
-		Clients:  cfg.Clients,
-		Shards:   cfg.Shards,
-		Replicas: cfg.Replicas,
-		WindowMs: float64(cfg.Window) / 1e6,
+		Clients:  sloClients,
+		Shards:   sloShards,
+		Replicas: sloReplicas,
+		WindowMs: float64(sloWindow) / 1e6,
 	}
-	for _, shape := range cfg.Shapes {
-		for _, theta := range cfg.Thetas {
-			res, err := RunOpenLoop(cfg.PointConfig(shape, theta))
-			if err != nil {
-				return nil, fmt.Errorf("workload: slo point shape=%v theta=%.2f: %w", shape, theta, err)
-			}
-			doc.Points = append(doc.Points, res)
+	for _, pt := range cfg.points() {
+		res, err := RunOpenLoop(pt)
+		if err != nil {
+			return nil, fmt.Errorf("workload: slo point shape=%v theta=%.2f: %w", pt.Shape, pt.ZipfTheta, err)
 		}
+		doc.Points = append(doc.Points, res)
 	}
 	return doc, nil
 }

@@ -160,12 +160,12 @@ func TestScaleDXBeatsHYOnServerLoad(t *testing.T) {
 	// delivers more operations).
 	const clients = 4
 	hy, err := RunScale(ScaleConfig{Clients: clients, Mode: dfs.HY,
-		Window: time.Second, ThinkTime: 2 * time.Millisecond})
+		Window: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dx, err := RunScale(ScaleConfig{Clients: clients, Mode: dfs.DX,
-		Window: time.Second, ThinkTime: 2 * time.Millisecond})
+		Window: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,12 +210,12 @@ func TestTrafficModelInvariants(t *testing.T) {
 
 func TestScaleThroughputGrowsWithClients(t *testing.T) {
 	one, err := RunScale(ScaleConfig{Clients: 1, Mode: dfs.DX,
-		Window: 500 * time.Millisecond, ThinkTime: 2 * time.Millisecond})
+		Window: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	three, err := RunScale(ScaleConfig{Clients: 3, Mode: dfs.DX,
-		Window: 500 * time.Millisecond, ThinkTime: 2 * time.Millisecond})
+		Window: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -572,19 +572,13 @@ func (s *System) Obs() *Tracer { return s.Env.Tracer() }
 type (
 	// FileServerOption configures Files().Server (e.g. WithStore).
 	FileServerOption = dfs.ServerOption
-	// FileClerkOption configures Files().Clerk (e.g. WithReadAhead).
+	// FileClerkOption configures Files().Clerk (e.g. WithReliable).
 	FileClerkOption = dfs.ClerkOption
 )
 
 var (
 	// WithStore builds the file service over an existing store (§3.7).
 	WithStore = dfs.WithStore
-	// WithReadAhead turns on clerk sequential read-ahead.
-	WithReadAhead = dfs.WithReadAhead
-	// WithEagerAttrs subscribes the clerk to eager attribute pushes (§3.2).
-	WithEagerAttrs = dfs.WithEagerAttrs
-	// WithCallTimeout bounds one clerk request-channel exchange.
-	WithCallTimeout = dfs.WithCallTimeout
 	// WithReliable routes all clerk→server transfers through the
 	// reliability layer (§3.7).
 	WithReliable = dfs.WithReliable
@@ -788,8 +782,8 @@ func (h HealthAPI) Watchdog(node int, imp *Import, off int, interval, timeout ti
 }
 
 // Recovery creates a recovery coordinator on node watching peer: arm it
-// with OnFailover steps and FenceNames, then start detection with Watch
-// over an imported heartbeat word. MTTR and rebind counts are measured on
+// with OnFailover steps, then start detection with Watch over an imported
+// heartbeat word. MTTR and rebind counts are measured on
 // the coordinator and mirrored to the tracer ("recovery.mttr",
 // "recovery.rebinds").
 func (h HealthAPI) Recovery(node, peer int, cfg RecoveryConfig) *RecoveryCoordinator {
