@@ -5,10 +5,15 @@
 // takes the best wall-clock rep (least scheduler noise), and emits a JSON
 // report (BENCH_PR4.json in CI).
 //
+// Each leg also records its goroutine hand-offs (des.Env.Handoffs): process
+// resumptions that switch goroutines, the dominant host cost of the event
+// loop. The count is deterministic, so it is gated exactly.
+//
 // With -baseline, it compares the events/sec of the gated legs (the mixed
 // campaign and the chain tier) against a previously committed report and
-// exits nonzero when either regressed more than -gate percent — the CI
-// regression gate for the fast path.
+// exits nonzero when either regressed more than -gate percent, or when any
+// leg makes more hand-offs than the baseline records — the CI regression
+// gate for the fast path.
 //
 // Usage:
 //
@@ -25,6 +30,7 @@ import (
 	"time"
 
 	"netmem/internal/consensus"
+	"netmem/internal/des"
 	"netmem/internal/dfs"
 	"netmem/internal/faults"
 	"netmem/internal/workload"
@@ -36,6 +42,7 @@ type Result struct {
 	Reps         int     `json:"reps"`
 	WallSeconds  float64 `json:"wall_seconds"` // best rep
 	Events       uint64  `json:"events"`       // simulator events in one rep
+	Handoffs     uint64  `json:"handoffs"`     // goroutine hand-offs in one rep, over every Env it runs
 	EventsPerSec float64 `json:"events_per_sec"`
 }
 
@@ -85,9 +92,11 @@ func main() {
 	for _, bm := range benches {
 		res := Result{Name: bm.name, Reps: *reps}
 		for r := 0; r < *reps; r++ {
+			h0 := des.TotalHandoffs()
 			start := time.Now()
 			events, err := bm.run()
 			wall := time.Since(start).Seconds()
+			handoffs := des.TotalHandoffs() - h0
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "simbench: %s: %v\n", bm.name, err)
 				os.Exit(1)
@@ -95,11 +104,12 @@ func main() {
 			if r == 0 || wall < res.WallSeconds {
 				res.WallSeconds = wall
 				res.Events = events
+				res.Handoffs = handoffs
 			}
 		}
 		res.EventsPerSec = float64(res.Events) / res.WallSeconds
-		fmt.Printf("%-12s %d reps  best %8.3fs  %9d events  %12.0f events/sec\n",
-			res.Name, res.Reps, res.WallSeconds, res.Events, res.EventsPerSec)
+		fmt.Printf("%-12s %d reps  best %8.3fs  %9d events  %8d handoffs  %12.0f events/sec\n",
+			res.Name, res.Reps, res.WallSeconds, res.Events, res.Handoffs, res.EventsPerSec)
 		rep.Benchmarks = append(rep.Benchmarks, res)
 	}
 
@@ -124,7 +134,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "simbench: REGRESSION GATE: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("regression gate passed (within %.0f%% of %s)\n", *gate, *baseline)
+		fmt.Printf("regression gate passed (within %.0f%% of %s, no leg above its hand-offs)\n", *gate, *baseline)
 	}
 }
 
@@ -199,7 +209,8 @@ func runChainSteady() (uint64, error) {
 }
 
 // checkGate fails when a gated leg's events/sec fell more than pct percent
-// below the committed baseline report.
+// below the committed baseline report, or when any leg made more hand-offs
+// than the baseline records for it.
 func checkGate(cur Report, baselinePath string, pct float64) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -231,6 +242,15 @@ func checkGate(cur Report, baselinePath string, pct float64) error {
 			return fmt.Errorf("%s: %.0f events/sec is %.1f%% below baseline %.0f (floor %.0f)",
 				name, c.EventsPerSec,
 				(1-c.EventsPerSec/b.EventsPerSec)*100, b.EventsPerSec, floor)
+		}
+	}
+	for _, c := range cur.Benchmarks {
+		b, ok := find(base, c.Name)
+		if !ok {
+			return fmt.Errorf("baseline has no %q entry", c.Name)
+		}
+		if c.Handoffs > b.Handoffs {
+			return fmt.Errorf("%s: %d hand-offs exceed baseline %d", c.Name, c.Handoffs, b.Handoffs)
 		}
 	}
 	return nil

@@ -33,6 +33,12 @@ const (
 // and charges any further processing to the node's CPU itself. A handler
 // that needs to perform long-running work should hand off to a spawned
 // process rather than stall the drain loop.
+//
+// The handler is the only part of the receive path that runs in process
+// context. Cells are taken, charged and reassembled by callbacks; the
+// daemon resumes once per frame, at its last cell's charge end, in the
+// event its own Sleep would have used, so every callback step takes the
+// sequence numbers the per-cell process loop did.
 type Handler func(p *des.Proc, src int, frame []byte)
 
 // Node is one simulated workstation.
@@ -54,6 +60,14 @@ type Node struct {
 	txLock   *des.Resource // serializes frame transmission (one PIO at a time)
 	txBuf    []byte        // scratch for proto byte + frame (guarded by txLock)
 	txCells  []atm.Cell    // scratch cell array for segmentation (guarded by txLock)
+
+	// Cell-path state machines. tx (guarded by txLock) pushes the cells of
+	// txCells, txCell being the current one; rx drains rxCell.
+	tx, rx   cellCharge
+	txCell   int
+	rxCell   atm.Cell
+	txPutFn  func() // pre-bound txPut
+	rxNextFn func() // pre-bound rxNext
 
 	// Accounting.
 	BytesSent      int64 // frame payload bytes handed to SendFrame
@@ -107,14 +121,21 @@ func (n *Node) Failed() bool { return n.failed }
 // occupancy breakdown reads these), and the CPU-utilization timeline.
 func (n *Node) UseCPU(p *des.Proc, cat string, d des.Duration) {
 	n.CPU.Acquire(p)
-	start := time.Duration(n.Env.Now())
+	start := n.Env.Now()
 	p.Sleep(d)
+	n.release(cat, start, d)
+}
+
+// release ends a CPU charge of d begun at start: it frees the CPU and
+// accounts the busy interval to cat.
+func (n *Node) release(cat string, start des.Time, d des.Duration) {
 	n.CPU.Release()
 	n.CPUAcct[cat] += d
 	if tr := n.Env.Tracer(); tr != nil {
-		tr.Span(n.cpuTrack, "cpu", cat, start, d)
+		at := time.Duration(start)
+		tr.Span(n.cpuTrack, "cpu", cat, at, d)
 		tr.Count(n.cpuKey(cat), int64(d))
-		tr.Usage(n.cpuTrack, start, d)
+		tr.Usage(n.cpuTrack, at, d)
 	}
 }
 
@@ -160,6 +181,11 @@ func (n *Node) SendFrame(p *des.Proc, dst int, proto byte, cat string, frame []b
 // interleaved with the pushes. Reply paths that fetch data from memory as
 // they transmit (the kernel's block-READ service loop) use this so the
 // fetch pipelines with the wire instead of serializing ahead of it.
+//
+// Each cell is charged to the CPU and pushed into the TX FIFO in order.
+// All but the last run as callbacks while the caller stays parked; the
+// caller resumes at the last cell's charge end and pushes that cell
+// itself.
 func (n *Node) SendFrameEx(p *des.Proc, dst int, proto byte, cat string, frame []byte, perCell des.Duration) {
 	// One frame at a time per machine: concurrent senders would otherwise
 	// interleave their cells on the same virtual circuit and corrupt
@@ -171,11 +197,14 @@ func (n *Node) SendFrameEx(p *des.Proc, dst int, proto byte, cat string, frame [
 	n.txBuf = append(n.txBuf, frame...)
 	n.txCells = atm.SegmentInto(n.txCells, atm.MakeVCI(dst, n.ID), n.txBuf)
 	cells := n.txCells
-	for i := range cells {
-		n.UseCPU(p, cat, n.P.CellPushTx+perCell)
-		n.NIC.TX.Put(p, cells[i])
-		n.NIC.CellsSent++
-	}
+	n.tx.owner, n.tx.cat, n.tx.cost = p, cat, n.P.CellPushTx+perCell
+	n.txCell = 0
+	n.tx.last = len(cells) == 1
+	n.tx.begin()
+	p.Park()
+	n.tx.end()
+	n.NIC.TX.Put(p, cells[len(cells)-1])
+	n.NIC.CellsSent++
 	n.BytesSent += int64(len(frame))
 	n.FramesSent++
 	if tr := n.Env.Tracer(); tr != nil {
@@ -184,11 +213,49 @@ func (n *Node) SendFrameEx(p *des.Proc, dst int, proto byte, cat string, frame [
 	}
 }
 
-// drain is the per-node RX daemon: pull cells, charge drain cost,
-// reassemble, dispatch completed frames.
+// txDone ends a non-final cell's charge and pushes the cell.
+func (n *Node) txDone() {
+	n.tx.end()
+	n.txPut()
+}
+
+// txPut pushes the current cell into the TX FIFO, waiting for space while
+// it is full, and starts the next cell's charge.
+func (n *Node) txPut() {
+	if n.NIC.TX.Full() {
+		n.NIC.TX.OnSpace(n.txPutFn)
+		return
+	}
+	n.NIC.TX.TryPut(n.txCells[n.txCell])
+	n.NIC.CellsSent++
+	n.txCell++
+	n.tx.last = n.txCell == len(n.txCells)-1
+	n.tx.begin()
+}
+
+// drain is the per-node RX daemon. Cells are taken, charged and
+// reassembled by callbacks (rxNext, then the rx charge); the daemon
+// resumes only at the charge end of a frame's last cell, to complete the
+// frame and run its handler in process context.
 func (n *Node) drain(p *des.Proc) {
+	n.rx.owner = p
 	for {
-		c := n.NIC.RX.Get(p)
+		n.rxNext()
+		p.Park()
+		n.rx.end()
+		n.dispatch(p, n.rxCell)
+	}
+}
+
+// rxNext takes cells off the RX FIFO until one has to wait: for a cell to
+// arrive, for the CPU, or for its drain charge to end.
+func (n *Node) rxNext() {
+	for {
+		c, ok := n.NIC.RX.TryGet()
+		if !ok {
+			n.NIC.RX.OnItem(n.rxNextFn)
+			return
+		}
 		if n.failed {
 			continue // a dead machine absorbs cells silently
 		}
@@ -205,35 +272,84 @@ func (n *Node) drain(p *des.Proc) {
 			}
 			n.surch[c.VCI] = sur
 		}
-		n.UseCPU(p, CatRx, n.P.CellDrainRx+sur)
-		frame, done, err := n.reasm.Add(c)
-		if !done {
-			continue
-		}
-		delete(n.surch, c.VCI)
-		if err != nil {
-			// Within the cluster, loss/corruption is catastrophic (§3);
-			// record it so experiments can fail loudly on inspection.
-			n.Faults = append(n.Faults, fmt.Errorf("node %d: %w", n.ID, err))
-			continue
-		}
-		n.FramesReceived++
-		if len(frame) == 0 {
-			n.reasm.Recycle(frame)
-			continue
-		}
-		h, ok := n.handlers[frame[0]]
-		if !ok {
-			n.Faults = append(n.Faults, fmt.Errorf("node %d: no handler for protocol %d", n.ID, frame[0]))
-			n.reasm.Recycle(frame)
-			continue
-		}
-		h(p, c.VCI.Src(), frame[1:])
-		// Handlers copy anything they keep (the reliable reply cache and
-		// RPC results are built frames, not views of this one), so the
-		// reassembly buffer can be reused for the next frame.
-		n.reasm.Recycle(frame)
+		n.rxCell = c
+		n.rx.cost, n.rx.last = n.P.CellDrainRx+sur, c.Last
+		n.rx.begin()
+		return
 	}
+}
+
+// rxDone ends a non-final cell's charge and deposits it for reassembly.
+func (n *Node) rxDone() {
+	n.rx.end()
+	n.reasm.Add(n.rxCell) // only a last cell completes a frame
+	n.rxNext()
+}
+
+// cellCharge is one cell's CPU charge run as callbacks: claim the CPU or
+// queue for it, hold it for cost, and at the charge end call done or, for
+// a frame's last cell, resume the parked owner process. Each step takes
+// the event the owner's UseCPU would have (its grant, its Sleep), so the
+// charge orders exactly as a per-cell process loop did.
+type cellCharge struct {
+	n      *Node
+	owner  *des.Proc
+	cat    string
+	cost   des.Duration
+	start  des.Time
+	last   bool
+	done   func() // ends a non-final cell's charge
+	holdFn func() // pre-bound hold
+}
+
+// begin claims the CPU for the charge, or queues for it.
+func (c *cellCharge) begin() {
+	if c.n.CPU.AcquireFunc(c.holdFn) {
+		c.hold()
+	}
+}
+
+// hold runs once the CPU is held and schedules the charge end.
+func (c *cellCharge) hold() {
+	c.start = c.n.Env.Now()
+	end := c.start.Add(c.cost)
+	if c.last {
+		c.n.Env.ResumeAt(end, c.owner)
+		return
+	}
+	c.n.Env.ScheduleFunc(end, c.done)
+}
+
+// end frees the CPU and accounts the charge.
+func (c *cellCharge) end() { c.n.release(c.cat, c.start, c.cost) }
+
+// dispatch completes the frame whose last cell is c and hands it to its
+// protocol's handler.
+func (n *Node) dispatch(p *des.Proc, c atm.Cell) {
+	frame, _, err := n.reasm.Add(c) // a last cell always completes its frame
+	delete(n.surch, c.VCI)
+	if err != nil {
+		// Within the cluster, loss/corruption is catastrophic (§3);
+		// record it so experiments can fail loudly on inspection.
+		n.Faults = append(n.Faults, fmt.Errorf("node %d: %w", n.ID, err))
+		return
+	}
+	n.FramesReceived++
+	if len(frame) == 0 {
+		n.reasm.Recycle(frame)
+		return
+	}
+	h, ok := n.handlers[frame[0]]
+	if !ok {
+		n.Faults = append(n.Faults, fmt.Errorf("node %d: no handler for protocol %d", n.ID, frame[0]))
+		n.reasm.Recycle(frame)
+		return
+	}
+	h(p, c.VCI.Src(), frame[1:])
+	// Handlers copy anything they keep (the reliable reply cache and
+	// RPC results are built frames, not views of this one), so the
+	// reassembly buffer can be reused for the next frame.
+	n.reasm.Recycle(frame)
 }
 
 // KernelCall charges the CPU for a standard system-call entry/exit.
@@ -299,6 +415,10 @@ func New(env *des.Env, p *model.Params, n int, opts ...Option) *Cluster {
 			nicTxKey: fmt.Sprintf("nic.node%d.tx.cells", i),
 			nicRxKey: fmt.Sprintf("nic.node%d.rx.cells", i),
 		}
+		node.txPutFn, node.rxNextFn = node.txPut, node.rxNext
+		node.tx = cellCharge{n: node, done: node.txDone}
+		node.rx = cellCharge{n: node, cat: CatRx, done: node.rxDone}
+		node.tx.holdFn, node.rx.holdFn = node.tx.hold, node.rx.hold
 		env.SpawnDaemon(fmt.Sprintf("node%d.rxdrain", i), node.drain)
 		c.Nodes = append(c.Nodes, node)
 	}

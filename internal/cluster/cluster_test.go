@@ -171,3 +171,77 @@ func TestUnroutableCellsCounted(t *testing.T) {
 		}
 	}
 }
+
+// TestFrameLongerThanTxFIFO pushes cells faster than the wire drains them
+// into a 4-cell TX FIFO, so the transmit path waits for space on most
+// cells. The frame must arrive intact, and SendFrame must return when its
+// last cell is accepted, paced by the wire.
+func TestFrameLongerThanTxFIFO(t *testing.T) {
+	p := model.Default
+	p.CellPushTx = 100 * time.Nanosecond
+	p.TxFIFOCells = 4
+	env := des.NewEnv()
+	c := New(env, &p, 2)
+	var got []byte
+	c.Nodes[1].RegisterProto(protoTest, func(_ *des.Proc, _ int, frame []byte) {
+		got = append([]byte(nil), frame...)
+	})
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 256) // 86 cells
+	const cells = 86
+	tx := c.Nodes[0].NIC.TX
+	var returned des.Time
+	env.Spawn("sender", func(pr *des.Proc) {
+		c.Nodes[0].SendFrame(pr, 1, protoTest, CatClient, payload)
+		returned = pr.Now()
+		if n := c.Nodes[0].NIC.CellsSent; n != cells {
+			t.Errorf("SendFrame returned with %d of %d cells accepted", n, cells)
+		}
+		if tx.Len() == 0 {
+			t.Error("SendFrame returned after its last cell had left the TX FIFO")
+		}
+	})
+	if err := env.RunUntil(des.Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("frame arrived with %d bytes, want the %d sent", len(got), len(payload))
+	}
+	// Every cell beyond the FIFO's depth waited for the wire to take one.
+	if min := des.Time(time.Duration(cells-p.TxFIFOCells-1) * p.CellWireTime()); returned < min {
+		t.Fatalf("SendFrame returned at %v, before the wire could have drained the FIFO (%v)", returned, min)
+	}
+	if busy, want := c.Nodes[0].CPU.BusyTime(), cells*p.CellPushTx; busy != want {
+		t.Fatalf("sender CPU busy %v, want %v", busy, want)
+	}
+}
+
+// TestNodeFailsMidFrame crashes the receiver while a long frame streams
+// in: the cells drained before the crash are charged, every later cell is
+// absorbed with no CPU charge, and no frame is dispatched.
+func TestNodeFailsMidFrame(t *testing.T) {
+	env := des.NewEnv()
+	c := New(env, &model.Default, 2)
+	rx := c.Nodes[1]
+	dispatched := 0
+	rx.RegisterProto(protoTest, func(*des.Proc, int, []byte) { dispatched++ })
+	env.Spawn("sender", func(p *des.Proc) {
+		c.Nodes[0].SendFrame(p, 1, protoTest, CatClient, make([]byte, 4096))
+	})
+	env.Schedule(des.Time(150*time.Microsecond), rx.Fail)
+	if err := env.RunUntil(des.Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if dispatched != 0 || rx.FramesReceived != 0 || len(rx.Faults) != 0 {
+		t.Fatalf("failed node dispatched %d frames, received %d, faults %v", dispatched, rx.FramesReceived, rx.Faults)
+	}
+	drained := rx.NIC.CellsReceived
+	if drained == 0 || drained >= 86 {
+		t.Fatalf("node drained %d of 86 cells before failing mid-frame", drained)
+	}
+	if busy, want := rx.CPU.BusyTime(), time.Duration(drained)*model.Default.CellDrainRx; busy != want {
+		t.Fatalf("receiver CPU busy %v, want %v for the %d cells drained before the crash", busy, want, drained)
+	}
+	if rx.NIC.RX.Len() != 0 {
+		t.Fatalf("%d cells left in the failed node's RX FIFO", rx.NIC.RX.Len())
+	}
+}

@@ -1,8 +1,8 @@
 // Package consensus builds a Paxos-style replicated log out of the
-// paper's remote-memory meta-instructions. The observation (ROADMAP item
-// 1, after Brock et al.'s one-sided data structures): a Paxos acceptor is
-// nothing but a few words of compare-and-swap-able state, and rmem CAS is
-// exactly that primitive. Acceptor state — a packed promised/accepted
+// paper's remote-memory meta-instructions. The observation (after Brock
+// et al.'s one-sided data structures): a Paxos acceptor is nothing but
+// a few words of compare-and-swap-able state, and rmem CAS is exactly
+// that primitive. Acceptor state — a packed promised/accepted
 // ballot word plus stamped value cells per log slot — lives in an
 // exported rmem segment, and proposers drive the whole agreement protocol
 // with one-sided READ/CAS/WRITE against it. The acceptor machine runs no

@@ -114,3 +114,54 @@ func BenchmarkHeapChurn(b *testing.B) {
 		env.ScheduleFunc(at, nop)
 	}
 }
+
+// BenchmarkAcquireFuncGrant measures the queued-callback grant: two
+// callback users take turns on one slot, so every Release hands the slot
+// to a queued callback. Each round is one grant event and one charge-end
+// event, with no process and no allocation.
+func BenchmarkAcquireFuncGrant(b *testing.B) {
+	env := NewEnv()
+	cpu := NewResource(env, "cpu", 1)
+	n := 0
+	var charge, end func()
+	charge = func() { env.ScheduleFunc(env.Now().Add(time.Microsecond), end) }
+	end = func() {
+		cpu.Release()
+		if n < b.N {
+			n++
+			if cpu.AcquireFunc(charge) {
+				charge()
+			}
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if cpu.AcquireFunc(charge) {
+			charge()
+		}
+	}
+	b.ResetTimer()
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(env.Events())/b.Elapsed().Seconds(), "events/sec")
+}
+
+// BenchmarkSleepWhileIdle measures an idle poller tick: the event loop
+// re-arms the tick in place while idle() holds, so the poller's goroutine
+// never runs and the record is never recycled.
+func BenchmarkSleepWhileIdle(b *testing.B) {
+	env := NewEnv()
+	ticks := 0
+	idle := func() bool {
+		ticks++
+		return ticks < b.N
+	}
+	env.Spawn("poller", func(p *Proc) {
+		b.ResetTimer()
+		p.SleepWhile(time.Microsecond, idle)
+	})
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(env.Events())/b.Elapsed().Seconds(), "events/sec")
+}

@@ -25,11 +25,32 @@
 // nothing. None of this changes virtual-time results: events still fire
 // in (time, schedule-order) order, only the OS goroutine executing the
 // loop differs.
+//
+// A hand-off still costs a goroutine switch, about a microsecond of host
+// time against tens of nanoseconds for a callback, so the invariant above
+// the kernel is that a process resumes only where it needs process
+// context. Per-cell and per-tick work runs as callbacks instead, and every
+// callback form takes the sequence numbers the process would have taken,
+// so event order and Events() do not change when a process loop becomes a
+// state machine:
+//
+//   - WaitQueue.WaitFunc, FIFO.OnItem and FIFO.OnSpace park a callback
+//     where a process would block in Wait, Get or Put;
+//   - Resource.AcquireFunc queues a callback in the same FIFO as processes
+//     blocked in Acquire, and Release grants it with the same event;
+//   - Proc.Park and Env.ResumeAt let a state machine working on a
+//     process's behalf resume it at its final charge end, in the slot the
+//     process's own Sleep would have used;
+//   - Proc.SleepWhile re-arms a poller's tick in the loop while the pass it
+//     would run has nothing to do.
+//
+// Env.Handoffs counts the switches that remain.
 package des
 
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"netmem/internal/obs"
@@ -62,6 +83,8 @@ type event struct {
 	gen       uint64 // bumped on recycle; cancel handles check it
 	fn        func()
 	proc      *Proc
+	idle      func() bool // SleepWhile: re-arm instead of resuming proc while true
+	every     Duration    // SleepWhile's re-arm interval
 	cancelled bool
 }
 
@@ -151,6 +174,7 @@ type Env struct {
 	nprocs   int           // live (spawned, not finished) processes
 	halted   bool
 	executed uint64 // events fired over the environment's lifetime
+	handoffs uint64 // resumptions that switched goroutines
 
 	obs *obs.Tracer // nil = observability disabled
 
@@ -213,6 +237,21 @@ func (e *Env) Now() Time { return e.now }
 // wall-clock time for an events/sec figure.
 func (e *Env) Events() uint64 { return e.executed }
 
+// Handoffs returns the number of process resumptions whose target was not
+// the goroutine driving the event loop: each one is a channel rendezvous
+// between two goroutines. A self-wake (a process popping its own
+// resumption) is not a hand-off. Like Events, the count is deterministic.
+func (e *Env) Handoffs() uint64 { return e.handoffs }
+
+// totalHandoffs sums Handoffs over every Env in the process.
+var totalHandoffs atomic.Uint64
+
+// TotalHandoffs returns the hand-offs of every Env in the process so far,
+// for harnesses that time runs whose Env they never see: the difference
+// across a run is that run's hand-off count, provided no other simulation
+// runs concurrently.
+func TotalHandoffs() uint64 { return totalHandoffs.Load() }
+
 // alloc takes an event record from the pool, or makes one.
 func (e *Env) alloc() *event {
 	if n := len(e.pool); n > 0 {
@@ -229,6 +268,7 @@ func (e *Env) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.proc = nil
+	ev.idle = nil
 	ev.cancelled = false
 	e.pool = append(e.pool, ev)
 }
@@ -364,6 +404,35 @@ func (p *Proc) Sleep(d Duration) {
 	p.block()
 }
 
+// SleepWhile is a polling loop's Sleep: it sleeps d, and then sleeps d again
+// for as long as idle() reports that the pass the process would run on
+// waking has nothing to do. idle runs in scheduler context at each tick; it
+// must not block and must have no effect beyond what the skipped pass would
+// have had. An idle tick costs no goroutine switch: the event loop re-arms
+// the tick at now+d with the next sequence number, exactly what the
+// process's own Sleep(d) after a no-op pass would have taken, so event
+// order and Events() are as if the process had woken every d. d must be
+// positive.
+func (p *Proc) SleepWhile(d Duration, idle func() bool) {
+	if d <= 0 {
+		panic("des: SleepWhile interval must be positive")
+	}
+	ev := p.env.schedule(p.env.now.Add(d))
+	ev.proc, ev.idle, ev.every = p, idle, d
+	p.block()
+}
+
+// Park blocks the process with nothing scheduled for it. It resumes only
+// when an event scheduled by ResumeAt fires: a callback state machine doing
+// work on the process's behalf parks its owner and schedules the owner's
+// resumption as its final event, in the slot the owner's own Sleep would
+// have used.
+func (p *Proc) Park() { p.block() }
+
+// ResumeAt schedules the resumption of p, parked by Park, at time t
+// (clamped to now), taking the next sequence number just as p.Sleep would.
+func (e *Env) ResumeAt(t Time, p *Proc) { e.scheduleProc(t, p) }
+
 // SleepUntil blocks the process until virtual time t; it returns at once
 // when t has already passed.
 func (p *Proc) SleepUntil(t Time) {
@@ -453,6 +522,15 @@ func (e *Env) loop(self *Proc, dying bool) {
 		e.now = ev.at
 		e.executed++
 		if p := ev.proc; p != nil {
+			if ev.idle != nil && !p.finished && ev.idle() {
+				// An idle SleepWhile tick: re-arm the record in place with
+				// the sequence number the process's next Sleep would take.
+				ev.at = e.now.Add(ev.every)
+				ev.seq = e.seq
+				e.seq++
+				e.queue.push(ev)
+				continue
+			}
 			e.recycle(ev)
 			if p.finished {
 				// Stray wakeup for a process that exited abnormally
@@ -463,6 +541,8 @@ func (e *Env) loop(self *Proc, dying bool) {
 			if p == self {
 				return // self-wake: resume our own code, no hand-off
 			}
+			e.handoffs++
+			totalHandoffs.Add(1)
 			p.resume <- struct{}{}
 			switch {
 			case dying:

@@ -4,8 +4,12 @@ import "time"
 
 // Resource models a serially shared piece of hardware — a CPU, a bus, a
 // controller — with a fixed number of service slots and a FIFO queue of
-// waiting processes. It also keeps a busy-time integral so experiments can
-// report utilisation (Figure 3 reports server CPU occupancy this way).
+// waiters. A waiter is a blocked process (Acquire) or a one-shot callback
+// (AcquireFunc); both queue in the same FIFO and a slot passes to either
+// with the same event, so a callback state machine charging a CPU on a
+// process's behalf takes the sequence numbers the process would have. It
+// also keeps a busy-time integral so experiments can report utilisation
+// (Figure 3 reports server CPU occupancy this way).
 type Resource struct {
 	env      *Env
 	name     string
@@ -13,7 +17,7 @@ type Resource struct {
 	inUse    int
 	// Waiter queue: a slice consumed from whead, reset when it empties, so
 	// the backing array is reused instead of reallocated on every hand-off.
-	waiters []*Proc
+	waiters []waiter
 	whead   int
 
 	busy       Duration // accumulated slot-busy time (capacity slots ⇒ up to capacity× wall time)
@@ -47,21 +51,34 @@ func (r *Resource) sample() {
 	}
 }
 
-// Acquire blocks until a slot is free and claims it. Waiters are served in
-// FIFO order.
-func (r *Resource) Acquire(p *Proc) {
+// claim takes a free slot when one is free and nobody is queued for it.
+func (r *Resource) claim() bool {
 	if r.inUse < r.capacity && len(r.waiters) == r.whead {
 		r.account()
 		r.inUse++
 		r.sample()
-		return
+		return true
 	}
-	r.waiters = append(r.waiters, p)
+	return false
+}
+
+// enqueue parks w at the back of the waiter queue.
+func (r *Resource) enqueue(w waiter, label string) {
+	r.waiters = append(r.waiters, w)
 	if tr := r.env.obs; tr != nil {
 		tr.Count("des.resource.contended", 1)
-		tr.Instant(r.name, "des", "block "+p.name, time.Duration(r.env.now))
+		tr.Instant(r.name, "des", "block "+label, time.Duration(r.env.now))
 		r.sample()
 	}
+}
+
+// Acquire blocks until a slot is free and claims it. Waiters are served in
+// FIFO order.
+func (r *Resource) Acquire(p *Proc) {
+	if r.claim() {
+		return
+	}
+	r.enqueue(waiter{p: p}, p.name)
 	p.woken = false
 	for !p.woken {
 		p.block()
@@ -71,7 +88,21 @@ func (r *Resource) Acquire(p *Proc) {
 	}
 }
 
-// Release frees a slot, handing it to the longest-waiting process if any.
+// AcquireFunc claims a free slot at once and reports true, or queues fn
+// behind the current waiters and reports false. A queued fn is scheduled
+// when Release hands it the slot, at the instant and with the sequence
+// number a process blocked in Acquire would have resumed with; it then
+// holds the slot and must Release it. fn should be a long-lived function
+// value; see ScheduleFunc.
+func (r *Resource) AcquireFunc(fn func()) bool {
+	if r.claim() {
+		return true
+	}
+	r.enqueue(waiter{fn: fn}, "callback")
+	return false
+}
+
+// Release frees a slot, handing it to the longest waiter if any.
 func (r *Resource) Release() {
 	r.account()
 	r.inUse--
@@ -80,15 +111,19 @@ func (r *Resource) Release() {
 	}
 	if len(r.waiters) > r.whead {
 		next := r.waiters[r.whead]
-		r.waiters[r.whead] = nil
+		r.waiters[r.whead] = waiter{}
 		r.whead++
 		if r.whead == len(r.waiters) {
 			r.waiters = r.waiters[:0]
 			r.whead = 0
 		}
 		r.inUse++ // slot passes directly to next
-		next.woken = true
-		r.env.scheduleProc(r.env.now, next)
+		if next.fn != nil {
+			if tr := r.env.obs; tr != nil {
+				tr.Instant(r.name, "des", "grant callback", time.Duration(r.env.now))
+			}
+		}
+		r.env.wake(next)
 	}
 	r.sample()
 }
@@ -144,6 +179,17 @@ type WaitQueue struct {
 type waiter struct {
 	p  *Proc
 	fn func()
+}
+
+// wake schedules a dequeued waiter at the current instant: the process's
+// resumption, or the callback in its place.
+func (e *Env) wake(w waiter) {
+	if w.p != nil {
+		w.p.woken = true
+		e.scheduleProc(e.now, w.p)
+	} else {
+		e.ScheduleFunc(e.now, w.fn)
+	}
 }
 
 // NewWaitQueue creates an empty wait queue.

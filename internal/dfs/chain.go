@@ -219,15 +219,29 @@ func (cr *ChainReplica) start(interval des.Duration) {
 		return
 	}
 	cr.running = true
+	// A quiet pass still refreshes the epoch from the header, so the idle
+	// check does too.
+	idle := func() bool {
+		if cr.m.Node.Failed() || cr.stopped {
+			return false
+		}
+		cr.readEpoch()
+		return cr.filter.quiet()
+	}
 	cr.m.Node.Env.SpawnDaemon(fmt.Sprintf("dfs.chain.%d", cr.m.Node.ID), func(p *des.Proc) {
 		for {
-			p.Sleep(interval)
+			p.SleepWhile(interval, idle)
 			if cr.m.Node.Failed() || cr.stopped {
 				return
 			}
 			cr.forwardPass(p)
 		}
 	})
+}
+
+// readEpoch refreshes the member's replica-set epoch from its header.
+func (cr *ChainReplica) readEpoch() {
+	cr.epoch = binary.BigEndian.Uint32(cr.seg.Bytes()[chainHdrEpoch:])
 }
 
 // forwardPass relays every stable new frame downstream, advances the
@@ -253,7 +267,7 @@ func (cr *ChainReplica) start(interval des.Duration) {
 // full pass, which left nothing pending, returns at once.
 func (cr *ChainReplica) forwardPass(p *des.Proc) {
 	buf := cr.seg.Bytes()
-	cr.epoch = binary.BigEndian.Uint32(buf[chainHdrEpoch:])
+	cr.readEpoch()
 	f := cr.filter
 	if !f.begin() {
 		return

@@ -37,19 +37,32 @@ func newBucketFilter(seg, side *rmem.Segment, base, stride, n int) *bucketFilter
 		seen: make([]uint64, n), pending: true}
 }
 
-// begin starts a pass. It returns false when neither segment has been
-// written since the last full pass began and that pass settled every
-// bucket: the pass has nothing to do. Otherwise the pass runs in full.
-func (f *bucketFilter) begin() bool {
-	mark := f.seg.WriteStamp()
-	var side uint64
+// stamps returns the current write stamps of seg and side.
+func (f *bucketFilter) stamps() (mark, side uint64) {
+	mark = f.seg.WriteStamp()
 	if f.side != nil {
 		side = f.side.WriteStamp()
 	}
-	if !f.pending && mark == f.mark && side == f.sideMk {
+	return mark, side
+}
+
+// quiet reports, without starting a pass, that a pass would have nothing
+// to do: neither segment has been written since the last full pass began,
+// and that pass settled every bucket. A poller sleeps through quiet ticks
+// (des.Proc.SleepWhile).
+func (f *bucketFilter) quiet() bool {
+	mark, side := f.stamps()
+	return !f.pending && mark == f.mark && side == f.sideMk
+}
+
+// begin starts a pass. It returns false when the filter is quiet.
+// Otherwise the pass runs in full.
+func (f *bucketFilter) begin() bool {
+	if f.quiet() {
 		return false
 	}
-	f.mark, f.sideMk, f.pending = mark, side, false
+	f.mark, f.sideMk = f.stamps()
+	f.pending = false
 	return true
 }
 

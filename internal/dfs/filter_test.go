@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"netmem/internal/des"
 	"netmem/internal/fstore"
 	"netmem/internal/model"
+	"netmem/internal/obs"
 	"netmem/internal/rmem"
 )
 
@@ -345,5 +347,53 @@ func TestBucketFilterRecallRacesPush(t *testing.T) {
 	r.runUntilStopped(t, &stop)
 	if r.checks < 100 {
 		t.Fatalf("invariant checked only %d times", r.checks)
+	}
+}
+
+// TestPollerExitsWhenNodeFailsWhileIdle crashes the primary and a chain
+// member while their pollers sleep through quiet ticks in SleepWhile. At
+// the first tick after the crash idle() turns false, the poller resumes,
+// sees the failed node and exits, exactly as a Sleep loop would.
+func TestPollerExitsWhenNodeFailsWhileIdle(t *testing.T) {
+	r := newFilterRig(t)
+	tr := obs.New(obs.Config{Events: true})
+	r.env.SetTracer(tr)
+	crash := r.env.Now().Add(1234 * time.Microsecond)
+	r.env.Schedule(crash, func() {
+		r.cl.Nodes[0].Fail()
+		r.cl.Nodes[4].Fail()
+	})
+	// Before the crash the rig is quiet: the pollers tick without resuming.
+	events, handoffs := r.env.Events(), r.env.Handoffs()
+	if err := r.env.RunUntil(crash.Add(-time.Microsecond)); err != nil {
+		t.Fatal(err)
+	}
+	if r.env.Events() == events || r.env.Handoffs() != handoffs {
+		t.Fatalf("quiet window: %d ticks, %d hand-offs; want ticks and no hand-offs",
+			r.env.Events()-events, r.env.Handoffs()-handoffs)
+	}
+	if err := r.env.RunUntil(crash.Add(5 * filterInterval)); err != nil {
+		t.Fatal(err)
+	}
+	exits := map[string]des.Time{}
+	for _, ev := range tr.Events() {
+		if name, ok := strings.CutPrefix(ev.Name, "exit "); ok {
+			exits[name] = des.Time(ev.At)
+		}
+	}
+	for _, name := range []string{"dfs.chainpush.0", "dfs.mirror.0", "dfs.chain.4"} {
+		at, ok := exits[name]
+		if !ok {
+			t.Errorf("%s did not exit after its node failed", name)
+			continue
+		}
+		if at < crash || at > crash.Add(filterInterval) {
+			t.Errorf("%s exited at %v, want the first tick in [%v, %v]", name, at, crash, crash.Add(filterInterval))
+		}
+	}
+	for _, name := range []string{"dfs.chain.3", "dfs.chain.5"} {
+		if _, ok := exits[name]; ok {
+			t.Errorf("%s exited, but its node is up", name)
+		}
 	}
 }

@@ -161,9 +161,10 @@ func (s *Server) AttachStandby(p *des.Proc, sb *Standby, interval des.Duration) 
 	}
 	s.shadow = append([]byte(nil), s.data.Bytes()...)
 	s.mirrorFilter = newBucketFilter(s.data, nil, 0, dataStride, s.Geo.DataBuckets)
+	idle := func() bool { return !s.m.Node.Failed() && s.mirrorFilter.quiet() }
 	s.m.Node.Env.SpawnDaemon(fmt.Sprintf("dfs.mirror.%d", s.m.Node.ID), func(p *des.Proc) {
 		for {
-			p.Sleep(interval)
+			p.SleepWhile(interval, idle)
 			if s.m.Node.Failed() {
 				return
 			}
@@ -304,9 +305,12 @@ func (s *Server) AttachChain(p *des.Proc, epoch uint32, members []*ChainReplica,
 	if !s.chainDaemon {
 		s.chainDaemon = true
 		s.chainFrame = make([]byte, chainStride)
+		// A re-chain swaps in a fresh filter, so idle reads s.chainFilter
+		// at each tick.
+		idle := func() bool { return !s.m.Node.Failed() && s.chainFilter.quiet() }
 		s.m.Node.Env.SpawnDaemon(fmt.Sprintf("dfs.chainpush.%d", s.m.Node.ID), func(p *des.Proc) {
 			for {
-				p.Sleep(interval)
+				p.SleepWhile(interval, idle)
 				if s.m.Node.Failed() {
 					return
 				}

@@ -16,11 +16,12 @@ import (
 // shard: the primary pushes changed buckets down the chain (dfs.AttachChain)
 // and any clerk holding a read token may READ any member's frames directly —
 // the replica read tier that scales hot-block goodput with k while the
-// primary's CPU stays flat (ROADMAP open item 2, the Figure-3 argument
-// extended to replicated reads). Failover (ArmChainFailover) promotes the
-// most-advanced member by comparing one-sided applied-watermark reads, and
-// a mid-chain crash splices the chain and publishes the new membership as a
-// control-plane decree when a log is attached.
+// primary's CPU stays flat (the Figure-3 argument, that one-sided reads
+// cost the serving node no CPU, extended to replicated reads). Failover
+// (ArmChainFailover) promotes the most-advanced member by comparing
+// one-sided applied-watermark reads, and a mid-chain crash splices the
+// chain and publishes the new membership as a control-plane decree when a
+// log is attached.
 
 // chainSpec tracks one slot's replica chain.
 type chainSpec struct {
