@@ -7,12 +7,15 @@
 //
 // Each leg also records its goroutine hand-offs (des.Env.Handoffs): process
 // resumptions that switch goroutines, the dominant host cost of the event
-// loop. The count is deterministic, so it is gated exactly.
+// loop. The count is deterministic, so it is gated exactly. And it records
+// its heap allocations (the runtime.MemStats.Mallocs delta over the rep),
+// which repeat to within a fraction of a percent for a given toolchain.
 //
 // With -baseline, it compares the events/sec of the gated legs (the mixed
 // campaign and the chain tier) against a previously committed report and
-// exits nonzero when either regressed more than -gate percent, or when any
-// leg makes more hand-offs than the baseline records — the CI regression
+// exits nonzero when either regressed more than -gate percent, when any
+// leg makes more hand-offs than the baseline records, or when any leg
+// allocates more than mallocMargin above its baseline — the CI regression
 // gate for the fast path.
 //
 // Usage:
@@ -43,6 +46,7 @@ type Result struct {
 	WallSeconds  float64 `json:"wall_seconds"` // best rep
 	Events       uint64  `json:"events"`       // simulator events in one rep
 	Handoffs     uint64  `json:"handoffs"`     // goroutine hand-offs in one rep, over every Env it runs
+	Mallocs      uint64  `json:"mallocs"`      // heap allocations in one rep
 	EventsPerSec float64 `json:"events_per_sec"`
 }
 
@@ -64,6 +68,11 @@ const (
 )
 
 var gatedNames = []string{mixedChaosName, chainSteadyName}
+
+// mallocMargin is how far above its baseline a leg's allocation count may
+// rise before the gate fails: room for run-to-run and toolchain drift, far
+// below the doubling a per-cell or per-event allocation brings back.
+const mallocMargin = 0.10
 
 func main() {
 	out := flag.String("out", "BENCH_PR4.json", "write the JSON report here ('-' for stdout only)")
@@ -92,11 +101,14 @@ func main() {
 	for _, bm := range benches {
 		res := Result{Name: bm.name, Reps: *reps}
 		for r := 0; r < *reps; r++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
 			h0 := des.TotalHandoffs()
 			start := time.Now()
 			events, err := bm.run()
 			wall := time.Since(start).Seconds()
 			handoffs := des.TotalHandoffs() - h0
+			runtime.ReadMemStats(&m1)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "simbench: %s: %v\n", bm.name, err)
 				os.Exit(1)
@@ -105,11 +117,12 @@ func main() {
 				res.WallSeconds = wall
 				res.Events = events
 				res.Handoffs = handoffs
+				res.Mallocs = m1.Mallocs - m0.Mallocs
 			}
 		}
 		res.EventsPerSec = float64(res.Events) / res.WallSeconds
-		fmt.Printf("%-12s %d reps  best %8.3fs  %9d events  %8d handoffs  %12.0f events/sec\n",
-			res.Name, res.Reps, res.WallSeconds, res.Events, res.Handoffs, res.EventsPerSec)
+		fmt.Printf("%-12s %d reps  best %8.3fs  %9d events  %8d handoffs  %9d mallocs  %12.0f events/sec\n",
+			res.Name, res.Reps, res.WallSeconds, res.Events, res.Handoffs, res.Mallocs, res.EventsPerSec)
 		rep.Benchmarks = append(rep.Benchmarks, res)
 	}
 
@@ -134,7 +147,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "simbench: REGRESSION GATE: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("regression gate passed (within %.0f%% of %s, no leg above its hand-offs)\n", *gate, *baseline)
+		fmt.Printf("regression gate passed (within %.0f%% of %s, no leg above its hand-offs or %.0f%% above its mallocs)\n",
+			*gate, *baseline, mallocMargin*100)
 	}
 }
 
@@ -210,7 +224,8 @@ func runChainSteady() (uint64, error) {
 
 // checkGate fails when a gated leg's events/sec fell more than pct percent
 // below the committed baseline report, or when any leg made more hand-offs
-// than the baseline records for it.
+// than the baseline records for it or allocated more than mallocMargin
+// above the baseline's count.
 func checkGate(cur Report, baselinePath string, pct float64) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -251,6 +266,10 @@ func checkGate(cur Report, baselinePath string, pct float64) error {
 		}
 		if c.Handoffs > b.Handoffs {
 			return fmt.Errorf("%s: %d hand-offs exceed baseline %d", c.Name, c.Handoffs, b.Handoffs)
+		}
+		if ceil := float64(b.Mallocs) * (1 + mallocMargin); float64(c.Mallocs) > ceil {
+			return fmt.Errorf("%s: %d mallocs exceed baseline %d by more than %.0f%%",
+				c.Name, c.Mallocs, b.Mallocs, mallocMargin*100)
 		}
 	}
 	return nil

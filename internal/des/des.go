@@ -26,6 +26,13 @@
 // in (time, schedule-order) order, only the OS goroutine executing the
 // loop differs.
 //
+// Only live events stay in the queue. Most timers are disarmed long before
+// they are due (every non-blocking remote read arms one), so a cancel
+// handle counts the dead records it leaves behind, and once they outnumber
+// the live ones the queue drops them and re-heapifies in place. Since
+// (time, sequence) is a total order, any heap of the same live records
+// pops them in the same order.
+//
 // A hand-off still costs a goroutine switch, about a microsecond of host
 // time against tens of nanoseconds for a callback, so the invariant above
 // the kernel is that a process resumes only where it needs process
@@ -49,7 +56,9 @@ package des
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -75,8 +84,8 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // event is a scheduled occurrence: either a callback (fn) run in scheduler
 // context or the resumption of a blocked process (proc). Records are pooled
 // on the Env; gen disarms stale cancel handles after a record is recycled.
-// Cancelled events stay in the heap and are skipped when popped; this makes
-// timer cancellation O(1).
+// Cancelling marks the record dead in O(1); a dead record is skipped when
+// popped, or dropped earlier when Env.compact sweeps the queue.
 type event struct {
 	at        Time
 	seq       uint64 // tie-breaker: schedule order
@@ -98,9 +107,9 @@ func (ev *event) before(o *event) bool {
 }
 
 // eventQueue is a 4-ary min-heap of pooled event records. Events are never
-// removed from the middle (cancellation is lazy), so no per-element index
-// bookkeeping is needed, and the shallow 4-ary layout roughly halves the
-// levels touched per sift compared to a binary heap.
+// removed from the middle (dead records leave in bulk, by compact), so no
+// per-element index bookkeeping is needed, and the shallow 4-ary layout
+// roughly halves the levels touched per sift compared to a binary heap.
 type eventQueue struct {
 	a []*event
 }
@@ -128,34 +137,40 @@ func (q *eventQueue) pop() *event {
 	top := a[0]
 	last := a[n]
 	a[n] = nil
-	a = a[:n]
+	q.a = a[:n]
 	if n > 0 {
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			min := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if a[j].before(a[min]) {
-					min = j
-				}
-			}
-			if !a[min].before(last) {
-				break
-			}
-			a[i] = a[min]
-			i = min
-		}
-		a[i] = last
+		q.siftDown(0, last)
 	}
-	q.a = a
 	return top
+}
+
+// siftDown places ev, which belongs at index i or below, at its heap
+// position in the subtree rooted at i.
+func (q *eventQueue) siftDown(i int, ev *event) {
+	a := q.a
+	n := len(a)
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
+		}
+		min := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if a[j].before(a[min]) {
+				min = j
+			}
+		}
+		if !a[min].before(ev) {
+			break
+		}
+		a[i] = a[min]
+		i = min
+	}
+	a[i] = ev
 }
 
 // Env is a simulation environment: the event queue, the clock, and the
@@ -165,14 +180,17 @@ func (q *eventQueue) pop() *event {
 type Env struct {
 	now      Time
 	queue    eventQueue
+	dead     int // cancelled records still in queue
 	seq      uint64
 	pool     []*event      // free list of recycled event records
 	mainWake chan struct{} // wakes the Run goroutine at termination
-	stop     func() bool   // RunUntil predicate for the current run
+	deadline Time          // the current run stops before any later event
 	runErr   error         // outcome of the current run
 	inProc   bool          // true while a simulated process is executing
 	nprocs   int           // live (spawned, not finished) processes
+	procs    []*Proc       // every unfinished process, daemons included
 	halted   bool
+	shutdown bool   // Shutdown has begun: parked processes exit
 	executed uint64 // events fired over the environment's lifetime
 	handoffs uint64 // resumptions that switched goroutines
 
@@ -303,16 +321,63 @@ func (e *Env) ScheduleFunc(at Time, fn func()) {
 
 // Schedule arranges for fn to run in scheduler context at time at (clamped
 // to now if in the past). It returns a cancel function; cancelling after
-// the event has fired is a no-op. fn must not block — it runs on the
-// event-loop goroutine. To start blocking work, Spawn a process instead.
+// the event has fired is a no-op. A cancelled event leaves the queue by
+// the time dead records outnumber live ones. fn must not block — it runs
+// on the event-loop goroutine. To start blocking work, Spawn a process
+// instead.
 func (e *Env) Schedule(at Time, fn func()) (cancel func()) {
 	ev := e.schedule(at)
 	ev.fn = fn
 	gen := ev.gen
 	return func() {
-		if ev.gen == gen {
+		if ev.gen == gen && !ev.cancelled {
 			ev.cancelled = true
+			e.dead++
+			if e.dead > compactFloor && e.dead > e.queue.len()-e.dead {
+				e.compact()
+			}
 		}
+	}
+}
+
+// compactFloor is the number of dead records the queue holds before a
+// cancel may compact it, so a near-empty queue is not swept on every
+// cancel.
+const compactFloor = 32
+
+// compact drops the queue's dead records, recycling them, and re-heapifies
+// the rest in place. The latest dead record stays: RunUntil stops at a
+// dead head later than its deadline, and that record stands in for every
+// dropped one, so a queue left holding only dead records past the deadline
+// still ends the run without a deadlock report.
+func (e *Env) compact() {
+	a := e.queue.a
+	var last *event
+	n := 0
+	for _, ev := range a {
+		switch {
+		case !ev.cancelled:
+			a[n] = ev
+			n++
+		case last == nil:
+			last = ev
+		case last.before(ev):
+			e.recycle(last)
+			last = ev
+		default:
+			e.recycle(ev)
+		}
+	}
+	e.dead = 0
+	if last != nil {
+		a[n] = last
+		n++
+		e.dead = 1
+	}
+	clear(a[n:])
+	e.queue.a = a[:n]
+	for i := (n - 2) >> 2; i >= 0; i-- {
+		e.queue.siftDown(i, a[i])
 	}
 }
 
@@ -330,6 +395,7 @@ type Proc struct {
 	resume   chan struct{}
 	woken    bool // set by the waker for wait-queue hand-offs
 	finished bool
+	slot     int // index in env.procs while unfinished
 }
 
 // Env returns the environment the process runs in.
@@ -357,7 +423,8 @@ func (e *Env) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 }
 
 func (e *Env) spawn(name string, fn func(*Proc), daemon bool) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	p := &Proc{env: e, name: name, resume: make(chan struct{}), slot: len(e.procs)}
+	e.procs = append(e.procs, p)
 	if !daemon {
 		e.nprocs++
 	}
@@ -372,8 +439,18 @@ func (e *Env) spawn(name string, fn func(*Proc), daemon bool) *Proc {
 		// just long enough to pass control onward, then exits.
 		defer func() {
 			p.finished = true
+			// Swap p out of the unfinished list.
+			last := e.procs[len(e.procs)-1]
+			last.slot = p.slot
+			e.procs[p.slot] = last
+			e.procs[len(e.procs)-1] = nil
+			e.procs = e.procs[:len(e.procs)-1]
 			if !daemon {
 				e.nprocs--
+			}
+			if e.shutdown {
+				e.mainWake <- struct{}{} // back to Shutdown, not the loop
+				return
 			}
 			if e.obs != nil {
 				e.obs.Instant("sched", "des", "exit "+name, time.Duration(e.now))
@@ -381,6 +458,9 @@ func (e *Env) spawn(name string, fn func(*Proc), daemon bool) *Proc {
 			e.loop(nil, true)
 		}()
 		<-p.resume // first activation
+		if e.shutdown {
+			runtime.Goexit()
+		}
 		fn(p)
 	}()
 	e.scheduleProc(e.now, p)
@@ -389,9 +469,17 @@ func (e *Env) spawn(name string, fn func(*Proc), daemon bool) *Proc {
 
 // block parks the calling process: its goroutine takes over the event loop
 // until some event resumes this process (directly, with zero channel
-// hand-offs, if the resuming event is the next one popped).
+// hand-offs, if the resuming event is the next one popped). Under Shutdown
+// the process exits instead, whether it was parked when Shutdown began or
+// blocks again from a deferred call while it unwinds.
 func (p *Proc) block() {
-	p.env.loop(p, false)
+	e := p.env
+	if !e.shutdown {
+		e.loop(p, false)
+	}
+	if e.shutdown {
+		runtime.Goexit()
+	}
 }
 
 // Sleep advances the process's virtual time by d (d <= 0 yields to other
@@ -445,35 +533,52 @@ func (p *Proc) SleepUntil(t Time) {
 // blocked on never-signalled conditions are reported as a deadlock error if
 // any remain when the queue drains.
 func (e *Env) Run() error {
-	return e.run(neverStop)
+	return e.run(math.MaxInt64)
 }
-
-var neverStop = func() bool { return false }
 
 // RunUntil executes events with timestamps <= deadline, leaving the rest of
 // the simulation intact so it can be resumed with another Run call. The
 // clock is left at min(deadline, time of last executed event) — it does not
 // jump to the deadline if the queue drains first.
 func (e *Env) RunUntil(deadline Time) error {
-	return e.run(func() bool {
-		return e.queue.len() > 0 && e.queue.a[0].at > deadline
-	})
+	return e.run(deadline)
 }
 
 // Halt stops the simulation after the current event completes. Safe to call
 // from simulated code.
 func (e *Env) Halt() { e.halted = true }
 
-func (e *Env) run(stop func() bool) error {
+func (e *Env) run(deadline Time) error {
 	if e.inProc {
 		panic("des: Run from process context")
 	}
+	if e.shutdown {
+		panic("des: Run after Shutdown")
+	}
 	e.halted = false
-	e.stop = stop
+	e.deadline = deadline
 	e.runErr = nil
 	e.loop(nil, false)
-	e.stop = nil
 	return e.runErr
+}
+
+// Shutdown unwinds every process still parked after a run, daemons
+// included, and discards the pending events, so the goroutines exit and
+// the Env, with everything its processes and events reference, can be
+// collected. Each process exits through runtime.Goexit where it is parked:
+// its deferred calls run without driving the event loop, and a blocking
+// call one of them makes exits at once. Call it from the goroutine that
+// called Run, after the last run; the Env cannot run again.
+func (e *Env) Shutdown() {
+	if e.inProc {
+		panic("des: Shutdown from process context")
+	}
+	e.shutdown = true
+	for len(e.procs) > 0 {
+		e.procs[len(e.procs)-1].resume <- struct{}{}
+		<-e.mainWake
+	}
+	e.queue.a, e.pool, e.dead = nil, nil, 0
 }
 
 // loop is the event loop. It migrates between goroutines instead of living
@@ -487,7 +592,7 @@ func (e *Env) run(stop func() bool) error {
 //   - self == nil, dying == true: a finished process's goroutine is
 //     unwinding; it hands control onward and exits without parking.
 //
-// Termination (halt, stop predicate, or a drained queue) records the run's
+// Termination (halt, the deadline, or a drained queue) records the run's
 // outcome in runErr; whichever goroutine detects it wakes the Run
 // goroutine. Exactly one goroutine executes loop at any instant, so Env
 // state needs no locking; every transfer is an unbuffered channel
@@ -507,12 +612,13 @@ func (e *Env) loop(self *Proc, dying bool) {
 			e.terminate(self, dying, err)
 			return
 		}
-		if e.stop() {
+		if e.queue.a[0].at > e.deadline {
 			e.terminate(self, dying, nil)
 			return
 		}
 		ev := e.queue.pop()
 		if ev.cancelled {
+			e.dead--
 			e.recycle(ev)
 			continue
 		}

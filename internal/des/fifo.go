@@ -7,11 +7,16 @@ package des
 // Put blocks while the queue is full; Get blocks while it is empty. Both
 // are served in FIFO order per side. TryPut/TryGet never block, for
 // hardware that drops on overflow instead of exerting backpressure.
+//
+// Items live in a power-of-two ring that doubles only when full, so a
+// steady stream through the queue allocates nothing.
 type FIFO[T any] struct {
 	env      *Env
 	name     string
 	capacity int
-	items    []T
+	ring     []T // len is zero or a power of two
+	head     int // index of the oldest item
+	n        int // queued items
 	getters  *WaitQueue
 	putters  *WaitQueue
 
@@ -31,12 +36,34 @@ func NewFIFO[T any](env *Env, name string, capacity int) *FIFO[T] {
 }
 
 // Len reports the number of queued items.
-func (f *FIFO[T]) Len() int { return len(f.items) }
+func (f *FIFO[T]) Len() int { return f.n }
 
 // Cap reports the capacity (<= 0 for unbounded).
 func (f *FIFO[T]) Cap() int { return f.capacity }
 
-func (f *FIFO[T]) full() bool { return f.capacity > 0 && len(f.items) >= f.capacity }
+func (f *FIFO[T]) full() bool { return f.capacity > 0 && f.n >= f.capacity }
+
+// push appends item to the ring, doubling it first when it is full.
+func (f *FIFO[T]) push(item T) {
+	if f.n == len(f.ring) {
+		ring := make([]T, max(4, 2*len(f.ring)))
+		k := copy(ring, f.ring[f.head:])
+		copy(ring[k:], f.ring[:f.head])
+		f.ring, f.head = ring, 0
+	}
+	f.ring[(f.head+f.n)&(len(f.ring)-1)] = item
+	f.n++
+}
+
+// pop removes and returns the oldest item; the ring must not be empty.
+func (f *FIFO[T]) pop() T {
+	var zero T
+	item := f.ring[f.head]
+	f.ring[f.head] = zero
+	f.head = (f.head + 1) & (len(f.ring) - 1)
+	f.n--
+	return item
+}
 
 // Full reports whether a Put would block (or a TryPut would drop).
 func (f *FIFO[T]) Full() bool { return f.full() }
@@ -58,7 +85,7 @@ func (f *FIFO[T]) Put(p *Proc, item T) {
 	for f.full() {
 		f.putters.Wait(p)
 	}
-	f.items = append(f.items, item)
+	f.push(item)
 	f.getters.WakeOne()
 }
 
@@ -69,7 +96,7 @@ func (f *FIFO[T]) TryPut(item T) bool {
 		f.Drops++
 		return false
 	}
-	f.items = append(f.items, item)
+	f.push(item)
 	f.getters.WakeOne()
 	return true
 }
@@ -77,26 +104,21 @@ func (f *FIFO[T]) TryPut(item T) bool {
 // Get removes and returns the oldest item, blocking while the queue is
 // empty.
 func (f *FIFO[T]) Get(p *Proc) T {
-	for len(f.items) == 0 {
+	for f.n == 0 {
 		f.getters.Wait(p)
 	}
-	item := f.items[0]
-	var zero T
-	f.items[0] = zero
-	f.items = f.items[1:]
+	item := f.pop()
 	f.putters.WakeOne()
 	return item
 }
 
 // TryGet removes and returns the oldest item without blocking.
 func (f *FIFO[T]) TryGet() (T, bool) {
-	var zero T
-	if len(f.items) == 0 {
+	if f.n == 0 {
+		var zero T
 		return zero, false
 	}
-	item := f.items[0]
-	f.items[0] = zero
-	f.items = f.items[1:]
+	item := f.pop()
 	f.putters.WakeOne()
 	return item, true
 }

@@ -500,9 +500,16 @@ func stepRun(env *des.Env, step, horizon time.Duration, stop func() bool) error 
 // primaries on nodes 0..S-1, chain members on the next S·K, lane clerks
 // after, and (under a campaign) a failover watcher on the last node.
 func RunOpenLoop(cfg OpenLoopConfig) (*OpenLoopResult, error) {
+	return runOpenLoop(des.NewEnv(), cfg)
+}
+
+// runOpenLoop is RunOpenLoop on a fresh env the caller made. It shuts env
+// down before returning, unwinding the lanes and every daemon; otherwise
+// their parked goroutines would keep the whole simulation reachable.
+func runOpenLoop(env *des.Env, cfg OpenLoopConfig) (*OpenLoopResult, error) {
 	cfg.Fill()
-	env := des.NewEnv()
 	env.Seed(cfg.Seed)
+	defer env.Shutdown()
 
 	var eng *faults.Engine
 	var clusterOpts []cluster.Option

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"runtime"
 	"testing"
 	"time"
+
+	"netmem/internal/des"
 )
 
 // smallOpenLoop is the test-sized config: enough arrivals for the
@@ -175,6 +178,44 @@ func TestOpenLoopDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); !bytes.Equal(a, b) {
 		t.Fatalf("identical configs diverged:\n%s\n%s", a, b)
+	}
+}
+
+// TestRunOpenLoopTearsDown: a run on the chain tier leaves no goroutine
+// behind, and its Env, with the whole simulation, can be collected.
+func TestRunOpenLoopTearsDown(t *testing.T) {
+	before := runtime.NumGoroutine()
+	collected := make(chan struct{})
+	func() {
+		env := des.NewEnv()
+		runtime.SetFinalizer(env, func(*des.Env) { close(collected) })
+		cfg := smallOpenLoop(ShapeSteady, 0.9)
+		cfg.Replicas = 2
+		cfg.Window = 50 * time.Millisecond
+		res, err := runOpenLoop(env, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Report.Total.Ops == 0 {
+			t.Fatal("no op completed")
+		}
+	}()
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 5000 {
+			t.Fatalf("%d goroutines remain after RunOpenLoop, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if i == 100 {
+			t.Fatal("the run's Env was not collected")
+		}
 	}
 }
 
