@@ -56,10 +56,15 @@ type Node struct {
 	handlers map[byte]Handler
 	perCell  map[byte]func(first []byte) des.Duration
 	reasm    *atm.Reassembler
-	surch    map[atm.VCI]des.Duration
 	txLock   *des.Resource // serializes frame transmission (one PIO at a time)
 	txBuf    []byte        // scratch for proto byte + frame (guarded by txLock)
 	txCells  []atm.Cell    // scratch cell array for segmentation (guarded by txLock)
+
+	// surch is the per-cell surcharge of the frame each source has in
+	// flight to this node, -1 when none. A source sends whole frames one
+	// at a time under its txLock, so it has at most one frame in flight,
+	// and every node ID fits the VCI's source byte.
+	surch [256]des.Duration
 
 	// Cell-path state machines. tx (guarded by txLock) pushes the cells of
 	// txCells, txCell being the current one; rx drains rxCell.
@@ -263,16 +268,21 @@ func (n *Node) rxNext() {
 		if tr := n.Env.Tracer(); tr != nil {
 			tr.Count(n.nicRxKey, 1)
 		}
-		sur, known := n.surch[c.VCI]
-		if !known {
+		// The surcharge function sees the stored cell, not c: a slice of
+		// c handed to a function value would move c to the heap, one
+		// allocation per received cell.
+		n.rxCell = c
+		src := c.VCI.Src()
+		sur := n.surch[src]
+		if sur < 0 {
 			// First cell of a frame: its body starts with the protocol
 			// byte, which decides the per-cell deposit surcharge.
+			sur = 0
 			if f, ok := n.perCell[c.Payload[0]]; ok {
-				sur = f(c.Payload[1:])
+				sur = f(n.rxCell.Payload[1:])
 			}
-			n.surch[c.VCI] = sur
+			n.surch[src] = sur
 		}
-		n.rxCell = c
 		n.rx.cost, n.rx.last = n.P.CellDrainRx+sur, c.Last
 		n.rx.begin()
 		return
@@ -327,7 +337,7 @@ func (c *cellCharge) end() { c.n.release(c.cat, c.start, c.cost) }
 // protocol's handler.
 func (n *Node) dispatch(p *des.Proc, c atm.Cell) {
 	frame, _, err := n.reasm.Add(c) // a last cell always completes its frame
-	delete(n.surch, c.VCI)
+	n.surch[c.VCI.Src()] = -1
 	if err != nil {
 		// Within the cluster, loss/corruption is catastrophic (§3);
 		// record it so experiments can fail loudly on inspection.
@@ -407,13 +417,15 @@ func New(env *des.Env, p *model.Params, n int, opts ...Option) *Cluster {
 			handlers: make(map[byte]Handler),
 			perCell:  make(map[byte]func([]byte) des.Duration),
 			reasm:    atm.NewReassembler(),
-			surch:    make(map[atm.VCI]des.Duration),
 			txLock:   des.NewResource(env, fmt.Sprintf("node%d.tx", i), 1),
 			CPUAcct:  make(map[string]des.Duration),
 			cpuTrack: fmt.Sprintf("node%d.cpu", i),
 			cpuKeys:  make(map[string]string),
 			nicTxKey: fmt.Sprintf("nic.node%d.tx.cells", i),
 			nicRxKey: fmt.Sprintf("nic.node%d.rx.cells", i),
+		}
+		for s := range node.surch {
+			node.surch[s] = -1
 		}
 		node.txPutFn, node.rxNextFn = node.txPut, node.rxNext
 		node.tx = cellCharge{n: node, done: node.txDone}

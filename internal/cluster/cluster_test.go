@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"netmem/internal/atm"
 	"netmem/internal/des"
 	"netmem/internal/model"
 	"netmem/internal/obs"
@@ -243,5 +244,43 @@ func TestNodeFailsMidFrame(t *testing.T) {
 	}
 	if rx.NIC.RX.Len() != 0 {
 		t.Fatalf("%d cells left in the failed node's RX FIFO", rx.NIC.RX.Len())
+	}
+}
+
+// TestReceiveAllocatesNothingPerCell streams multi-cell frames of a
+// protocol with a per-cell surcharge straight into a node's RX FIFO. Once
+// warm, the receive path (take, charge, reassemble, dispatch) allocates
+// nothing, per cell or per frame.
+func TestReceiveAllocatesNothingPerCell(t *testing.T) {
+	env := des.NewEnv()
+	c := New(env, &model.Default, 2)
+	rx := c.Nodes[1]
+	frames := 0
+	rx.RegisterProtoEx(protoTest, func(*des.Proc, int, []byte) { frames++ },
+		func(first []byte) des.Duration { return des.Duration(first[0]) })
+	cells := atm.Segment(atm.MakeVCI(1, 0), append([]byte{protoTest, 7}, make([]byte, 400)...))
+	if len(cells) < 2 || len(cells) > rx.NIC.RX.Cap() {
+		t.Fatalf("frame of %d cells does not fit the %d-cell RX FIFO", len(cells), rx.NIC.RX.Cap())
+	}
+	frame := func() {
+		for _, cell := range cells {
+			rx.NIC.RX.TryPut(cell)
+		}
+		if err := env.RunUntil(env.Now().Add(time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame()
+	if got := testing.AllocsPerRun(100, frame); got != 0 {
+		t.Fatalf("receive path allocates %.1f times per %d-cell frame, want 0", got, len(cells))
+	}
+	if frames != 102 || len(rx.Faults) != 0 {
+		t.Fatalf("dispatched %d of 102 frames, faults %v", frames, rx.Faults)
+	}
+	// Every cell paid its drain cost plus the surcharge its frame's first
+	// cell chose.
+	perCell := model.Default.CellDrainRx + 7
+	if busy, want := rx.CPU.BusyTime(), time.Duration(102*len(cells))*perCell; busy != want {
+		t.Fatalf("receiver CPU busy %v, want %v", busy, want)
 	}
 }

@@ -486,11 +486,22 @@ func (c *Clerk) readBlock(p *des.Proc, h fstore.Handle, block int64, need int) (
 	return blk, nil
 }
 
-// Read returns up to count bytes at offset.
+// Read returns up to count bytes at offset. A read of exactly one whole
+// block (offset a multiple of fstore.BlockSize, count fstore.BlockSize)
+// returns the block itself, which may be shared with the clerk's cache:
+// the caller must not modify it. Cached blocks are never written in place,
+// so the bytes stay as returned. Any other read returns a private copy.
 func (c *Clerk) Read(p *des.Proc, h fstore.Handle, offset int64, count int) ([]byte, error) {
 	defer c.obsOp(OpRead)()
 	if offset < 0 || count < 0 {
 		return nil, fstore.ErrBadOffset
+	}
+	if count == fstore.BlockSize && offset%fstore.BlockSize == 0 {
+		blk, err := c.readBlock(p, h, offset/fstore.BlockSize, count)
+		if err != nil || len(blk) == 0 {
+			return nil, err
+		}
+		return blk[:len(blk):len(blk)], nil
 	}
 	var out []byte
 	for count > 0 {
@@ -583,12 +594,10 @@ func (c *Clerk) writeBlock(p *des.Proc, h fstore.Handle, block int64, in int, da
 			return err
 		}
 	}
-	merged := old
-	if in+len(data) > len(merged) {
-		merged = append(append([]byte(nil), old...), make([]byte, in+len(data)-len(old))...)
-	} else if in > 0 || len(data) < len(merged) {
-		merged = append([]byte(nil), old...)
-	}
+	// A published block is immutable (Read may have handed it out), so
+	// the merge always builds a fresh one.
+	merged := make([]byte, max(len(old), in+len(data)))
+	copy(merged, old)
 	copy(merged[in:], data)
 
 	// One remote write carries header (dirty) + the minimal contiguous

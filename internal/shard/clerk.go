@@ -638,7 +638,9 @@ func (c *Clerk) Null(p *des.Proc) error {
 // bucket since we cached the block, so the re-read is a map lookup — no
 // cells on the wire, no CPU on any server.
 
-// Read returns up to count bytes at offset.
+// Read returns up to count bytes at offset. Without the token cache it
+// returns what the owning sub-clerk's Read does, which may share a cached
+// block: the caller must not modify the result.
 func (c *Clerk) Read(p *des.Proc, h fstore.Handle, offset int64, count int) ([]byte, error) {
 	var out []byte
 	err := c.routed(p, h.U64(), func(s int) error {
@@ -712,6 +714,8 @@ func (c *Clerk) coherentBlock(p *des.Proc, s int, h fstore.Handle, block int64) 
 		c.cache[s][tok][key] = blk
 		return blk, nil
 	}
+	// A whole-block read hands back the sub-clerk's cached block itself,
+	// so this cache and the sub-clerk's hold one copy of the bytes.
 	blk, err := c.sub[s].Read(p, h, block*fstore.BlockSize, fstore.BlockSize)
 	if err != nil {
 		return nil, err

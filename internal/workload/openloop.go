@@ -636,33 +636,46 @@ func runOpenLoop(env *des.Env, cfg OpenLoopConfig) (*OpenLoopResult, error) {
 	var accounted int64
 	var qwait stats.Sketch
 
-	env.Spawn("openloop.dispatch", func(p *des.Proc) {
-		sched := NewSchedule(cfg, len(tree.Files), len(tree.Dirs))
+	// The dispatcher only waits for each arrival's time, admits the
+	// arrival and wakes a lane, so it needs no process: it runs as a
+	// callback chain. Each step takes the sequence number a dispatcher
+	// process's Sleep would (the first, its spawn's), so event order and
+	// Events() are as with a process, without its hand-offs.
+	sched := NewSchedule(cfg, len(tree.Files), len(tree.Dirs))
+	var next Arrival
+	var held bool // next is due at a later step
+	var dispatch func()
+	dispatch = func() {
 		for {
-			a, ok := sched.Next()
-			if !ok {
-				break
+			if !held {
+				var ok bool
+				if next, ok = sched.Next(); !ok {
+					dispatchDone = true
+					wq.WakeAll()
+					return
+				}
+				if at := start.Add(next.At); at > env.Now() {
+					held = true
+					env.ScheduleFunc(at, dispatch)
+					return
+				}
 			}
-			at := start.Add(a.At)
-			if at > p.Now() {
-				p.Sleep(time.Duration(at.Sub(p.Now())))
-			}
+			held = false
 			res.Offered++
 			if qlen() >= cfg.MaxQueue {
-				rec.RecordShed(a.Tenant)
+				rec.RecordShed(next.Tenant)
 				res.Shed++
 				accounted++
 				continue
 			}
-			queue = append(queue, a)
+			queue = append(queue, next)
 			if l := qlen(); l > res.PeakQueue {
 				res.PeakQueue = l
 			}
 			wq.WakeOne()
 		}
-		dispatchDone = true
-		wq.WakeAll()
-	})
+	}
+	env.ScheduleFunc(env.Now(), dispatch)
 	for i := 0; i < cfg.Lanes; i++ {
 		i := i
 		env.Spawn(fmt.Sprintf("openloop.lane%d", i), func(p *des.Proc) {
