@@ -48,7 +48,7 @@
 // random streams (identical seeds replay identically), and -metrics adds
 // the run's deterministic metric snapshot. Combining -chaos with
 // -shards S (S > 1) runs the campaign against the sharded tier with a
-// fenced standby per shard.
+// fenced standby (a one-member replica chain) per shard.
 package main
 
 import (

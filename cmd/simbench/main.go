@@ -60,8 +60,9 @@ type Report struct {
 }
 
 // Benchmark names; gatedNames are the ones the -baseline gate applies to.
-// chain-steady is the only leg that runs replica chains, so it is the one
-// that catches a chain pusher that goes back to rescanning memory.
+// chain-steady is the leg that runs replica read chains under load, so it
+// is the one that catches a chain pusher that goes back to rescanning
+// memory; mixed-chaos runs only a one-member standby chain.
 const (
 	mixedChaosName  = "mixed-chaos"
 	chainSteadyName = "chain-steady"

@@ -38,9 +38,7 @@ func NewAcceptor(p *des.Proc, m *rmem.Manager, cfg Config) *Acceptor {
 	a := &Acceptor{M: m, Cfg: cfg, Epoch: m.Incarnation()}
 	a.Seg = m.Export(p, cfg.SegSize())
 	a.Seg.SetDefaultRights(rmem.RightRead | rmem.RightWrite | rmem.RightCAS)
-	if !cfg.NoLease {
-		rmem.StartHeartbeat(m, a.Seg, cfg.hbOff(), leaseInterval)
-	}
+	rmem.StartHeartbeat(m, a.Seg, cfg.hbOff(), leaseInterval)
 	return a
 }
 

@@ -46,9 +46,9 @@ func BenchmarkCASContention(b *testing.B) {
 // committing decrees back to back on a 3-acceptor group.
 func BenchmarkDecreeCommit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newRig(b, 1, 3, 1, Config{NoLease: true, Slots: 2048})
+		r := newRig(b, 1, 3, 1, Config{Slots: 2048})
 		var err error
-		r.env.Spawn("bench", func(p *des.Proc) {
+		r.spawn("bench", func(p *des.Proc) {
 			r.await(p)
 			pr := NewProposer(p, r.mgrs[3], 3, r.g)
 			pr.Notify = false
@@ -58,9 +58,7 @@ func BenchmarkDecreeCommit(b *testing.B) {
 				}
 			}
 		})
-		if e := r.env.Run(); e != nil {
-			b.Fatal(e)
-		}
+		r.run(b)
 		if err != nil {
 			b.Fatal(err)
 		}

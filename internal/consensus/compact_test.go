@@ -97,8 +97,8 @@ func TestCompactionOutrunsSlots(t *testing.T) {
 // ErrLogFull.
 func TestBareGroupStopsAtSlots(t *testing.T) {
 	const slots = 16
-	r := newRig(t, 1, 3, 1, Config{Slots: slots, NoLease: true})
-	r.env.Spawn("run", func(p *des.Proc) {
+	r := newRig(t, 1, 3, 1, Config{Slots: slots})
+	r.spawn("run", func(p *des.Proc) {
 		r.await(p)
 		pr := NewProposer(p, r.mgrs[3], 0, r.g)
 		pr.Notify = false
@@ -113,9 +113,7 @@ func TestBareGroupStopsAtSlots(t *testing.T) {
 			t.Errorf("commit past the window: %v, want ErrLogFull", err)
 		}
 	})
-	if err := r.env.Run(); err != nil {
-		t.Fatalf("sim: %v", err)
-	}
+	r.run(t)
 }
 
 // TestValueLimit pins the largest decree a default group carries: the

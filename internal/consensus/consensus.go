@@ -105,12 +105,6 @@ type Config struct {
 	// with a snapshot decree once 3/4 of the window is applied; a bare
 	// Group never does. Default 256.
 	Slots int
-	// NoLease disables the acceptor heartbeat word. Only tests set it:
-	// with no heartbeat daemon beating, a simulation drains (Env.Run
-	// returns), and the acceptors' CPU accounts show the agreement path
-	// alone, since every beat is a charged local write. Groups under a
-	// ControlPlane leave it off.
-	NoLease bool
 }
 
 func (c *Config) fill() {

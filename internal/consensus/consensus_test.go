@@ -18,6 +18,7 @@ type rig struct {
 	c    *cluster.Cluster
 	mgrs []*rmem.Manager
 	g    *Group
+	live int // processes started with spawn that have not returned
 }
 
 func newRig(t testing.TB, seed int64, acceptors, extra int, cfg Config) *rig {
@@ -36,6 +37,39 @@ func newRig(t testing.TB, seed int64, acceptors, extra int, cfg Config) *rig {
 	return r
 }
 
+// spawn starts a test process that run waits for. The last one to return
+// halts the simulation.
+func (r *rig) spawn(name string, fn func(*des.Proc)) {
+	r.live++
+	r.env.Spawn(name, func(p *des.Proc) {
+		defer func() {
+			if r.live--; r.live == 0 {
+				r.env.Halt()
+			}
+		}()
+		fn(p)
+	})
+}
+
+// run runs the simulation until every process started with spawn has
+// returned. Each acceptor beats its heartbeat word forever, so the event
+// queue never drains; the horizon bounds a run whose processes hang.
+func (r *rig) run(t testing.TB) {
+	t.Helper()
+	if err := r.env.RunUntil(des.Time(10 * time.Second)); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	if r.live > 0 {
+		t.Fatalf("%d test processes still running at the horizon", r.live)
+	}
+}
+
+// heartbeat returns acceptor a's heartbeat counter: one per beat, each a
+// local word write charged to the acceptor's client CPU.
+func (r *rig) heartbeat(a *Acceptor) uint32 {
+	return be32(a.Seg.Bytes()[r.g.Cfg.hbOff():])
+}
+
 // await parks p until the rig's boot process has exported the acceptors.
 func (r *rig) await(p *des.Proc) {
 	for r.g == nil {
@@ -46,17 +80,21 @@ func (r *rig) await(p *des.Proc) {
 // TestSingleDecreeChosen: one proposer drives a value through three
 // acceptors; every acceptor's learned cell holds it, and the acceptor
 // machines spent zero process/control/client CPU on the agreement path —
-// only kernel interface work (rx/reply) appears.
+// only kernel interface work (rx/reply) appears. The heartbeat's local
+// word writes are the one client charge an acceptor makes, and they are
+// subtracted by count.
 func TestSingleDecreeChosen(t *testing.T) {
-	r := newRig(t, 1, 3, 1, Config{NoLease: true})
+	r := newRig(t, 1, 3, 1, Config{})
 	val := []byte("registry-record-0001")
 	var chosen []byte
-	r.env.Spawn("proposer", func(p *des.Proc) {
+	beats := make([]uint32, 3) // heartbeat counters at the CPU reset
+	r.spawn("proposer", func(p *des.Proc) {
 		r.await(p)
 		pr := NewProposer(p, r.mgrs[3], 0, r.g)
 		pr.Notify = false // no replicas attached: measure pure agreement
-		for i := 0; i < 3; i++ {
-			r.c.Nodes[i].ResetCPUAcct()
+		for i, a := range r.g.Accs {
+			r.c.Nodes[a.Node()].ResetCPUAcct()
+			beats[i] = r.heartbeat(a)
 		}
 		v, err := pr.Propose(p, 0, val)
 		if err != nil {
@@ -65,10 +103,8 @@ func TestSingleDecreeChosen(t *testing.T) {
 		}
 		chosen = v
 	})
-	if err := r.env.Run(); err != nil {
-		t.Fatalf("sim: %v", err)
-	}
-	if !bytes.Equal(chosen[:len(val)], val) {
+	r.run(t)
+	if len(chosen) < len(val) || !bytes.Equal(chosen[:len(val)], val) {
 		t.Fatalf("chosen = %q, want %q", chosen[:len(val)], val)
 	}
 	// Verify the learned cells out-of-band (raw memory, no simulated cost,
@@ -86,15 +122,25 @@ func TestSingleDecreeChosen(t *testing.T) {
 			t.Errorf("acceptor %d learned value = %q, want %q", a.Node(), buf[8:8+len(val)], val)
 		}
 	}
-	for i := 0; i < 3; i++ {
-		acct := r.c.Nodes[i].CPUAcct
-		for _, cat := range []string{cluster.CatProc, cluster.CatControl, cluster.CatClient} {
-			if acct[cat] != 0 {
-				t.Errorf("acceptor node %d burned %v of %s CPU on the agreement path, want 0", i, acct[cat], cat)
+	for i, a := range r.g.Accs {
+		n := r.c.Nodes[a.Node()]
+		acct := n.CPUAcct
+		hb := time.Duration(r.heartbeat(a)-beats[i]) * n.P.LocalWordAccess
+		if hb == 0 {
+			t.Errorf("acceptor node %d did not beat during the run", a.Node())
+		}
+		agreement := map[string]des.Duration{
+			cluster.CatProc:    acct[cluster.CatProc],
+			cluster.CatControl: acct[cluster.CatControl],
+			cluster.CatClient:  acct[cluster.CatClient] - hb,
+		}
+		for cat, d := range agreement {
+			if d != 0 {
+				t.Errorf("acceptor node %d burned %v of %s CPU on the agreement path, want 0", a.Node(), d, cat)
 			}
 		}
 		if acct[cluster.CatRx]+acct[cluster.CatReply] == 0 {
-			t.Errorf("acceptor node %d shows no interface work — agreement traffic missing", i)
+			t.Errorf("acceptor node %d shows no interface work — agreement traffic missing", a.Node())
 		}
 	}
 }
@@ -103,11 +149,11 @@ func TestSingleDecreeChosen(t *testing.T) {
 // the same slot; exactly one value wins and every proposer returns it.
 func TestContendingProposersAgree(t *testing.T) {
 	const P = 4
-	r := newRig(t, 7, 3, P, Config{NoLease: true})
+	r := newRig(t, 7, 3, P, Config{})
 	results := make([][]byte, P)
 	for i := 0; i < P; i++ {
 		i := i
-		r.env.Spawn("proposer", func(p *des.Proc) {
+		r.spawn("proposer", func(p *des.Proc) {
 			r.await(p)
 			pr := NewProposer(p, r.mgrs[3+i], i, r.g)
 			v, err := pr.Propose(p, 0, []byte{byte('A' + i)})
@@ -118,8 +164,9 @@ func TestContendingProposersAgree(t *testing.T) {
 			results[i] = v
 		})
 	}
-	if err := r.env.Run(); err != nil {
-		t.Fatalf("sim: %v", err)
+	r.run(t)
+	if t.Failed() {
+		return
 	}
 	for i := 1; i < P; i++ {
 		if !bytes.Equal(results[i], results[0]) {
@@ -133,8 +180,8 @@ func TestContendingProposersAgree(t *testing.T) {
 // proposer if that acceptor's vote is visible in the rival's phase-1
 // quorum — and must never be overwritten once a majority accepted it.
 func TestAdoptsAcceptedValue(t *testing.T) {
-	r := newRig(t, 3, 3, 2, Config{NoLease: true})
-	r.env.Spawn("crashing", func(p *des.Proc) {
+	r := newRig(t, 3, 3, 2, Config{})
+	r.spawn("crashing", func(p *des.Proc) {
 		r.await(p)
 		pr := NewProposer(p, r.mgrs[3], 0, r.g)
 		// Run phases by hand: promise everywhere, accept on a majority
@@ -153,7 +200,7 @@ func TestAdoptsAcceptedValue(t *testing.T) {
 		}
 	})
 	var got []byte
-	r.env.Spawn("rival", func(p *des.Proc) {
+	r.spawn("rival", func(p *des.Proc) {
 		r.await(p)
 		p.Sleep(2 * time.Millisecond) // let the partial accept land first
 		pr := NewProposer(p, r.mgrs[4], 1, r.g)
@@ -164,11 +211,9 @@ func TestAdoptsAcceptedValue(t *testing.T) {
 		}
 		got = v
 	})
-	if err := r.env.Run(); err != nil {
-		t.Fatalf("sim: %v", err)
-	}
+	r.run(t)
 	v := got
-	if !bytes.Equal(v[:len("orphaned-but-chosen")], []byte("orphaned-but-chosen")) {
+	if len(v) < len("orphaned-but-chosen") || !bytes.Equal(v[:len("orphaned-but-chosen")], []byte("orphaned-but-chosen")) {
 		t.Fatalf("rival overwrote a majority-accepted value: got %q", v[:20])
 	}
 }
@@ -286,8 +331,8 @@ func TestLeaderElectionDeterministic(t *testing.T) {
 // answers ErrStaleGeneration and is permanently excluded — amnesiac
 // members must not vote again (they have forgotten their promises).
 func TestRestartedAcceptorFencedOut(t *testing.T) {
-	r := newRig(t, 5, 3, 1, Config{NoLease: true})
-	r.env.Spawn("run", func(p *des.Proc) {
+	r := newRig(t, 5, 3, 1, Config{})
+	r.spawn("run", func(p *des.Proc) {
 		r.await(p)
 		pr := NewProposer(p, r.mgrs[3], 0, r.g)
 		if _, err := pr.Propose(p, 0, []byte("before")); err != nil {
@@ -308,7 +353,5 @@ func TestRestartedAcceptorFencedOut(t *testing.T) {
 			}
 		}
 	})
-	if err := r.env.Run(); err != nil {
-		t.Fatalf("sim: %v", err)
-	}
+	r.run(t)
 }

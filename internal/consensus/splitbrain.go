@@ -64,7 +64,7 @@ func (r *SplitBrainResult) OneWriter() bool {
 const (
 	sbReplicas    = 3
 	sbPrimaryNode = 3
-	sbStandbyNode = 4
+	sbBackupNode  = 4
 	sbClerkNode   = 5
 	sbNodes       = 6
 )
@@ -78,7 +78,7 @@ const (
 )
 
 // RunSplitBrain measures the mix twice — fault-free baseline, then under
-// the campaign — on identical topologies (lease daemons and mirror
+// the campaign — on identical topologies (lease daemons and chain
 // traffic run in both legs).
 func RunSplitBrain(cfg SplitBrainConfig) (*SplitBrainResult, error) {
 	base, leg, err := dfs.RunLegs("consensus: splitbrain", cfg.Campaign, func(camp *faults.Campaign) (*sbLeg, error) {
@@ -154,19 +154,23 @@ func runSplitBrainMix(camp *faults.Campaign, seed int64, mode dfs.Mode) (*sbLeg,
 			}
 		})
 
-		// Hot standby + heartbeat + gated coordinator on the clerk's node.
+		// Hot standby (a one-member chain) + heartbeat + gated coordinator
+		// on the clerk's node.
 		// The successor is guarded too: it holds its own lease, granted
 		// under the post-fence epoch.
 		var hb *rmem.Import
-		leg.rec, hb = plane.ArmFailover(p, mgrs[sbStandbyNode], sbNodes, recovery.Config{FenceWait: sbLeaseTTL},
+		leg.rec, hb, err = plane.ArmFailover(p, mgrs[sbBackupNode], sbNodes, recovery.Config{FenceWait: sbLeaseTTL},
 			func(fp *des.Proc, srv *dfs.Server) error {
-				lease, err := NewWriteLease(fp, mgrs[sbStandbyNode], sbStandbyNode, cp, sbLeaseTTL, sbLeaseRefresh)
+				lease, err := NewWriteLease(fp, mgrs[sbBackupNode], sbBackupNode, cp, sbLeaseTTL, sbLeaseRefresh)
 				if err != nil {
 					return err
 				}
 				srv.SetWriteGuard(lease)
 				return nil
 			})
+		if err != nil {
+			return err
+		}
 		leg.rec.ReplicateVerdicts(cp.NewClient(p, mgrs[sbClerkNode]))
 		leg.rec.Watch(hb, 0)
 		return nil

@@ -10,15 +10,17 @@ import (
 	"netmem/internal/rmem"
 )
 
-// Replica chains. PR 3's hot standby is a write-only mirror: pure cost
-// until takeover. A chain replica generalizes it into a read tier — the
+// Replica chains. A chain is the file service's one replication path: the
 // primary pushes changed data buckets down an ordered chain (primary →
-// R1 → … → Rk) with plain rmem WRITEs, and any clerk holding a read
-// token may READ any member's exported segment directly. Every bucket is
-// framed as a remotely-readable seqlock record [ver | bucket | ver]:
-// cells land FIFO per path, so a reader that races a landing frame sees
-// head ≠ tail and falls back to the primary — no CAS, no server CPU,
-// anywhere, ever, on the replica read path.
+// R1 → … → Rk) with plain rmem WRITEs, the most-advanced member takes
+// over when the primary dies, and any clerk holding a read token may
+// READ any member's exported segment directly. A hot standby is the
+// one-member chain (primary–backup as a chain of length one, van Renesse
+// & Schneider, OSDI 2004) whose clerks keep no token cache, so nobody
+// reads from it. Every bucket is framed as a remotely-readable seqlock
+// record [ver | bucket | ver]: cells land FIFO per path, so a reader that
+// races a landing frame sees head ≠ tail and falls back to the primary —
+// no CAS, no server CPU, anywhere, ever, on the replica read path.
 //
 // Freshness is a version watermark: the primary exports a chain-state
 // segment carrying a per-bucket version word (epoch in the high 32 bits);
@@ -32,10 +34,11 @@ import (
 // destroys the (acknowledged, possibly dirty) record the member holds,
 // so TakeOver still grafts it after a crash.
 
-// chainHdr is the chain segment's header: five geometry words (as the
-// mirror header), the replica-set epoch, the member's position in the
-// chain, and its 64-bit applied version (maintained by its forwarder;
-// failover READs it to pick the most advanced member).
+// chainHdr is the chain segment's header: five geometry words (attr,
+// name, link, data, dir bucket counts), the replica-set epoch, the
+// member's position in the chain, and its 64-bit applied version
+// (maintained by its forwarder; failover READs it to pick the most
+// advanced member).
 const chainHdr = 40
 
 // chainHdrEpoch / chainHdrPos / ChainAppliedOff locate the header words.
@@ -353,12 +356,14 @@ func (cr *ChainReplica) splice(p *des.Proc) {
 	}
 }
 
-// TakeOver promotes the member to the live file service — the chain
-// analogue of Standby.TakeOver, run on the most-advanced member after
-// the primary dies: a new server incarnation over the surviving store,
-// with every stable mirrored *dirty* frame grafted into the new data
-// area (still dirty, so the next Sync applies the write-behind the dead
-// primary never flushed). The recall poison word is deliberately
+// TakeOver promotes the member to the live file service, run on the
+// most-advanced member after the primary dies: a new server incarnation
+// over the surviving store (fresh segment ids and generations, this
+// node's epoch), with every stable *dirty* frame grafted into the new
+// data area (still dirty, so the next Sync applies the write-behind the
+// dead primary never flushed). A torn frame (head ≠ tail, or odd: a push
+// was landing when the primary died) is skipped, and the store keeps that
+// block's last synced bytes. The recall poison word is deliberately
 // ignored: a poison marks the frame unservable to READERS, but the
 // record under it is the last acknowledged write-behind state this
 // member applied — destroying it on promotion would lose durable data

@@ -496,18 +496,20 @@ func NewServerPlane(p *des.Proc, ms, mc *rmem.Manager, nodes int, mode Mode, see
 	return d, err
 }
 
-// ArmFailover arms the plane's recovery path: a hot standby on msb
-// mirroring the server's write-behind state, a heartbeat on the server's
-// node, a coordinator on the clerk's node, and the two failover steps —
-// standby takeover, then clerk rebind. guard, when non-nil, readies the
-// successor before it goes live. Start detection with rec.Watch(hb, 0).
-func (d *ServerPlane) ArmFailover(p *des.Proc, msb *rmem.Manager, nodes int, cfg recovery.Config, guard func(*des.Proc, *Server) error) (rec *recovery.Coordinator, hb *rmem.Import) {
-	standby := NewStandby(p, msb, d.Srv.Geo)
-	d.Srv.AttachStandby(p, standby, 100*time.Microsecond)
+// ArmFailover arms the plane's recovery path: a one-member replica chain
+// on msb holding the server's write-behind state, a heartbeat on the
+// server's node, a coordinator on the clerk's node, and the two failover
+// steps — chain takeover, then clerk rebind. guard, when non-nil, readies
+// the successor before it goes live. Start detection with rec.Watch(hb, 0).
+func (d *ServerPlane) ArmFailover(p *des.Proc, msb *rmem.Manager, nodes int, cfg recovery.Config, guard func(*des.Proc, *Server) error) (rec *recovery.Coordinator, hb *rmem.Import, err error) {
+	cr := NewChainReplica(p, msb, d.Srv.Geo)
+	if err = d.Srv.AttachChain(p, 1, []*ChainReplica{cr}, 100*time.Microsecond); err != nil {
+		return nil, nil, err
+	}
 
 	rec, hb = recovery.Arm(p, d.Srv.m, d.Clerk.m, 100*time.Microsecond, cfg)
-	rec.OnFailover("standby.takeover", func(p *des.Proc) error {
-		srv, err := standby.TakeOver(p, d.Srv.Store, nodes, WithReliableReplies())
+	rec.OnFailover("chain.takeover", func(p *des.Proc) error {
+		srv, err := cr.TakeOver(p, d.Srv.Store, nodes, WithReliableReplies())
 		if err == nil && guard != nil {
 			err = guard(p, srv)
 		}
@@ -521,7 +523,7 @@ func (d *ServerPlane) ArmFailover(p *des.Proc, msb *rmem.Manager, nodes int, cfg
 		d.Clerk.Rebind(p, d.Srv)
 		return nil
 	})
-	return rec, hb
+	return rec, hb, nil
 }
 
 // RunChaos measures the Figure 2 mix twice — once fault-free for the
@@ -543,7 +545,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 }
 
 // chaosRig is the single-server rig: the server on node 0, the clerk on
-// node 1, and with failover the hot standby on node 2.
+// node 1, and with failover the hot standby (a one-member chain) on node 2.
 type chaosRig struct {
 	*Leg
 	*ServerPlane
@@ -577,7 +579,9 @@ func runChaosMix(camp *faults.Campaign, seed int64, mode Mode, failover bool) (*
 		}
 		if failover {
 			var hb *rmem.Import
-			r.rec, hb = r.ArmFailover(p, r.Mgrs[2], nodes, recovery.Config{}, nil)
+			if r.rec, hb, err = r.ArmFailover(p, r.Mgrs[2], nodes, recovery.Config{}, nil); err != nil {
+				return err
+			}
 			r.rec.Watch(hb, 0)
 		}
 		return nil
@@ -598,7 +602,7 @@ func runChaosMix(camp *faults.Campaign, seed int64, mode Mode, failover bool) (*
 		p.SleepUntil(des.Time(200 * time.Millisecond))
 		r.RunMix(p, r.Mix, 0, await)
 	})
-	// The recovery rig's daemons (heartbeat, watchdog, mirror) never idle,
+	// The recovery rig's daemons (heartbeat, watchdog, chain) never idle,
 	// so its horizon must be finite; the plain rig keeps the long horizon
 	// and returns as soon as its event queue drains.
 	horizon := des.Time(120 * time.Second)

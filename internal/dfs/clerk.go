@@ -173,11 +173,12 @@ func (c *Clerk) wireAreas(p *des.Proc, srv *Server) {
 }
 
 // Rebind re-wires the clerk to a new server incarnation after a failover:
-// fresh imports of the standby's re-exported cache areas (new descriptor
-// ids, generations, and epoch), a fresh Hybrid-1 channel, and reset block
-// ownership — the new incarnation's data cache holds only the mirrored
-// dirty blocks, so ownership must be re-established per bucket. Local
-// caches survive: their contents were read coherently and remain valid.
+// fresh imports of the promoted chain member's re-exported cache areas
+// (new descriptor ids, generations, and epoch), a fresh Hybrid-1 channel,
+// and reset block ownership — the new incarnation's data cache holds only
+// the grafted dirty blocks, so ownership must be re-established per
+// bucket. Local caches survive: their contents were read coherently and
+// remain valid.
 // Eager-attribute subscriptions and an in-flight prefetch do not carry
 // over; re-enable them against the new server if wanted.
 func (c *Clerk) Rebind(p *des.Proc, srv *Server) {

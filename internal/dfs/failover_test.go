@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -13,11 +14,11 @@ import (
 	"netmem/internal/rmem"
 )
 
-// Hot-standby failover: the primary mirrors its write-behind state to a
-// standby with plain remote WRITEs; on the primary's death the standby
-// promotes itself over the surviving store and a rebound clerk reads the
-// un-flushed write back, byte-correct.
-func TestStandbyMirrorAndTakeover(t *testing.T) {
+// Hot-standby failover: the standby is a one-member chain. The primary
+// pushes its write-behind state to the member with plain remote WRITEs; on
+// the primary's death the member promotes itself over the surviving store
+// and a rebound clerk reads the un-flushed write back, byte-correct.
+func TestOneMemberChainTakeover(t *testing.T) {
 	env := des.NewEnv()
 	cl := cluster.New(env, &model.Default, 3)
 	ms := rmem.NewManager(cl.Nodes[0])
@@ -27,7 +28,7 @@ func TestStandbyMirrorAndTakeover(t *testing.T) {
 	var (
 		srv   *Server
 		clerk *Clerk
-		sb    *Standby
+		cr    *ChainReplica
 		h     fstore.Handle
 	)
 	env.Spawn("setup", func(p *des.Proc) {
@@ -42,8 +43,10 @@ func TestStandbyMirrorAndTakeover(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		sb = NewStandby(p, msb, srv.Geo)
-		srv.AttachStandby(p, sb, 100*time.Microsecond)
+		cr = NewChainReplica(p, msb, srv.Geo)
+		if err := srv.AttachChain(p, 1, []*ChainReplica{cr}, 100*time.Microsecond); err != nil {
+			t.Error(err)
+		}
 	})
 	if err := env.RunUntil(des.Time(100 * time.Millisecond)); err != nil {
 		t.Fatal(err)
@@ -61,11 +64,14 @@ func TestStandbyMirrorAndTakeover(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		// An 8K mirror push costs ~2 ms end to end (per-cell drain + deposit
-		// at the standby), so give the daemon a comfortable multiple.
+		// An 8K chain push costs ~2 ms end to end (per-cell drain + deposit
+		// at the member), so give the daemon a comfortable multiple.
 		p.Sleep(10 * time.Millisecond)
-		if srv.Mirrored == 0 {
-			t.Error("dirty block never mirrored to the standby")
+		b := srv.Geo.DataBucket(h, 0)
+		frame := cr.seg.Bytes()[ChainFrameOff(b):][:ChainFrameLen]
+		got, _, ok := ParseChainFrame(frame, h, 0, 0)
+		if flag, _, _, _ := getHdr(frame[12:]); !ok || flag != flagDirty || !bytes.Equal(got, payload) {
+			t.Errorf("dirty block never reached the chain member (frame ok %v, flag %d)", ok, flag)
 			return
 		}
 		onDisk, _ := srv.Store.Read(h, 0, fstore.BlockSize)
@@ -75,14 +81,17 @@ func TestStandbyMirrorAndTakeover(t *testing.T) {
 		}
 
 		cl.Nodes[0].Fail()
-		srv2, err := sb.TakeOver(p, srv.Store, 3)
+		srv2, err := cr.TakeOver(p, srv.Store, 3)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if sb.Restored == 0 {
-			t.Error("takeover grafted no mirrored buckets")
+		if cr.Restored != 1 {
+			t.Errorf("takeover grafted %d buckets, want the 1 dirty one", cr.Restored)
 			return
+		}
+		if flag, _, _, _ := getHdr(srv2.data.Bytes()[b*dataStride:]); flag != flagDirty {
+			t.Errorf("grafted bucket flag %d, want dirty", flag)
 		}
 		clerk.Rebind(p, srv2)
 		if clerk.Rebinds != 1 {
@@ -91,11 +100,11 @@ func TestStandbyMirrorAndTakeover(t *testing.T) {
 
 		// The grafted bucket is still flagged dirty: Sync applies the dead
 		// primary's un-flushed write to the store.
-		if _, err := srv2.Sync(p); err != nil {
-			t.Error(err)
+		if n, err := srv2.Sync(p); err != nil || n != 1 {
+			t.Errorf("Sync applied %d blocks (err %v), want 1", n, err)
 			return
 		}
-		got, err := srv2.Store.Read(h, 0, fstore.BlockSize)
+		got, err = srv2.Store.Read(h, 0, fstore.BlockSize)
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Errorf("store after failover+sync: wrong bytes (err %v)", err)
 			return
@@ -108,6 +117,83 @@ func TestStandbyMirrorAndTakeover(t *testing.T) {
 		}
 	})
 	if err := env.RunUntil(des.Time(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// ChainReplica.TakeOver grafts exactly the stable dirty frames — a set
+// recall poison word does not stop it — and skips clean, torn and
+// never-written frames. A member whose header names another data-area
+// geometry is refused.
+func TestChainTakeOverGraftsStableDirtyFrames(t *testing.T) {
+	env := des.NewEnv()
+	cl := cluster.New(env, &model.Default, 2)
+	store := fstore.New(func() int64 { return int64(env.Now()) })
+	h := fstore.Handle{Ino: 7, Gen: 1}
+	const (
+		dirty    = iota // stable dirty frame
+		poisoned        // stable dirty frame under a set poison word
+		clean           // stable valid (clean) frame
+		torn            // head ≠ tail
+		odd             // head == tail, odd: a push was landing
+		unwritten
+		nCases
+	)
+	// frame writes a framed record for bucket b with version words head
+	// and tail, and returns the record.
+	frame := func(seg []byte, b int, poison uint32, head, tail uint64, flag uint32) []byte {
+		f := seg[ChainFrameOff(b):][:ChainFrameLen]
+		binary.BigEndian.PutUint32(f, poison)
+		binary.BigEndian.PutUint64(f[4:], head)
+		rec := f[12 : 12+dataStride]
+		putHdr(rec, flag, h, uint32(b), fstore.BlockSize)
+		copy(rec[recHdr:], chaosPattern(fstore.BlockSize)[b:])
+		binary.BigEndian.PutUint64(f[chainStride-8:], tail)
+		return rec
+	}
+	env.Spawn("test", func(p *des.Proc) {
+		m := rmem.NewManager(cl.Nodes[0])
+		cr := NewChainReplica(p, m, Geometry{})
+		seg := cr.seg.Bytes()
+		binary.BigEndian.PutUint32(seg[12:], uint32(cr.geo.DataBuckets))
+		want := map[int][]byte{
+			dirty:    append([]byte(nil), frame(seg, dirty, 0, 2<<32|4, 2<<32|4, flagDirty)...),
+			poisoned: append([]byte(nil), frame(seg, poisoned, 9, 2<<32|6, 2<<32|6, flagDirty)...),
+		}
+		frame(seg, clean, 0, 2<<32|8, 2<<32|8, flagValid)
+		frame(seg, torn, 0, 2<<32|10, 2<<32|12, flagDirty)
+		frame(seg, odd, 0, 2<<32|13, 2<<32|13, flagDirty)
+
+		srv, err := cr.TakeOver(p, store, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cr.Restored != 2 {
+			t.Errorf("Restored = %d, want 2", cr.Restored)
+		}
+		data := srv.data.Bytes()
+		for b := 0; b < nCases; b++ {
+			got := data[b*dataStride : (b+1)*dataStride]
+			if rec, ok := want[b]; ok {
+				if !bytes.Equal(got, rec) {
+					t.Errorf("bucket %d: grafted record differs from the frame's", b)
+				}
+			} else if flag, _, _, _ := getHdr(got); flag != flagEmpty {
+				t.Errorf("bucket %d: flag %d after takeover, want empty (not grafted)", b, flag)
+			}
+		}
+
+		bad := NewChainReplica(p, rmem.NewManager(cl.Nodes[1]), Geometry{})
+		binary.BigEndian.PutUint32(bad.seg.Bytes()[12:], uint32(bad.geo.DataBuckets+1))
+		frame(bad.seg.Bytes(), dirty, 0, 2<<32|4, 2<<32|4, flagDirty)
+		if _, err := bad.TakeOver(p, store, 2); err == nil {
+			t.Error("takeover accepted a member stamped with another geometry")
+		}
+		if bad.Restored != 0 {
+			t.Errorf("refused takeover grafted %d buckets", bad.Restored)
+		}
+	})
+	if err := env.RunUntil(des.Time(10 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 }

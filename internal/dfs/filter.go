@@ -2,8 +2,8 @@ package dfs
 
 import "netmem/internal/rmem"
 
-// bucketFilter is the candidate filter shared by the polling pushers
-// (Server.chainPass, Server.mirrorPass, ChainReplica.forwardPass). Clerk
+// bucketFilter is the candidate filter shared by the two polling pushers
+// of the replica chain (Server.chainPass, ChainReplica.forwardPass). Clerk
 // deposits land by one-sided WRITE, so a pusher learns of them only by
 // polling its memory every interval of virtual time. The filter keeps
 // that cadence but spares the host the rescan: the bucket segment tracks

@@ -16,8 +16,7 @@ import (
 	"netmem/internal/rmem"
 )
 
-// filterRig is a primary with a hot standby and a three-member replica
-// chain, one DX clerk depositing into the data area, and a spare node that
+// filterRig is a primary with a three-member replica chain, one DX clerk depositing into the data area, and a spare node that
 // plays a write-token holder's recall against the chain-state markers.
 type filterRig struct {
 	env     *des.Env
@@ -36,19 +35,18 @@ const filterInterval = 100 * time.Microsecond
 func newFilterRig(t *testing.T) *filterRig {
 	t.Helper()
 	env := des.NewEnv()
-	cl := cluster.New(env, &model.Default, 7) // primary, clerk, standby, 3 members, writer
+	cl := cluster.New(env, &model.Default, 6) // primary, clerk, 3 members, writer
 	r := &filterRig{env: env, cl: cl}
 	ms := rmem.NewManager(cl.Nodes[0])
 	mc := rmem.NewManager(cl.Nodes[1])
-	msb := rmem.NewManager(cl.Nodes[2])
 	var mm []*rmem.Manager
-	for i := 3; i < 6; i++ {
+	for i := 2; i < 5; i++ {
 		mm = append(mm, rmem.NewManager(cl.Nodes[i]))
 	}
-	r.writer = rmem.NewManager(cl.Nodes[6])
+	r.writer = rmem.NewManager(cl.Nodes[5])
 	env.Spawn("setup", func(p *des.Proc) {
 		// A small data area keeps the invariant sweeps cheap.
-		r.srv = NewServer(p, ms, 7, Geometry{DataBuckets: 31})
+		r.srv = NewServer(p, ms, 6, Geometry{DataBuckets: 31})
 		r.clerk = NewClerk(p, mc, r.srv, DX)
 		for i := 0; i < 6; i++ {
 			h, err := r.srv.Store.WriteFile(fmt.Sprintf("/export/f%d", i), patterned(2*fstore.BlockSize))
@@ -62,7 +60,6 @@ func newFilterRig(t *testing.T) *filterRig {
 			}
 			r.files = append(r.files, h)
 		}
-		r.srv.AttachStandby(p, NewStandby(p, msb, r.srv.Geo), filterInterval)
 		for _, m := range mm {
 			r.members = append(r.members, NewChainReplica(p, m, r.srv.Geo))
 		}
@@ -78,9 +75,8 @@ func newFilterRig(t *testing.T) *filterRig {
 
 // checkFilters asserts the filters' exactness invariant: every bucket a
 // filter would skip is one the full rescan would have skipped too. For
-// the chain pass that means byte-equal to chainShadow; for the mirror
-// pass, byte-equal to the mirror shadow or clean on both sides; for a
-// replica's forward pass, a frame that is poisoned, torn, or already
+// the chain pass that means byte-equal to chainShadow; for a replica's
+// forward pass, a frame that is poisoned, torn, or already
 // relayed (head == shadowVer[b]).
 func (r *filterRig) checkFilters(t *testing.T) {
 	t.Helper()
@@ -94,14 +90,6 @@ func (r *filterRig) checkFilters(t *testing.T) {
 			r.skipped++
 			if !bytes.Equal(cur, s.chainShadow[lo:lo+dataStride]) {
 				t.Errorf("at %v: chain filter skips bucket %d, which differs from the chain shadow", r.env.Now(), b)
-				return
-			}
-		}
-		if !s.mirrorFilter.stale(b) {
-			old := s.shadow[lo : lo+dataStride]
-			clean := binary.BigEndian.Uint32(cur) != flagDirty && binary.BigEndian.Uint32(old) != flagDirty
-			if !clean && !bytes.Equal(cur, old) {
-				t.Errorf("at %v: mirror filter skips dirty bucket %d, which differs from the mirror shadow", r.env.Now(), b)
 				return
 			}
 		}
@@ -253,9 +241,9 @@ func TestBucketFilterExactUnderDeposits(t *testing.T) {
 		r.assertConverged(t)
 	})
 	r.runUntilStopped(t, &stop)
-	if r.srv.ChainPushes == 0 || r.srv.Mirrored == 0 || r.members[2].Acked == 0 {
-		t.Fatalf("no traffic: %d chain pushes, %d mirrored, %d tail acks",
-			r.srv.ChainPushes, r.srv.Mirrored, r.members[2].Acked)
+	if r.srv.ChainPushes == 0 || r.members[2].Acked == 0 {
+		t.Fatalf("no traffic: %d chain pushes, %d tail acks",
+			r.srv.ChainPushes, r.members[2].Acked)
 	}
 	if r.checks < 200 || r.skipped == 0 {
 		t.Fatalf("invariant checked %d times over %d skipped buckets; the checker did not run", r.checks, r.skipped)
@@ -361,7 +349,7 @@ func TestPollerExitsWhenNodeFailsWhileIdle(t *testing.T) {
 	crash := r.env.Now().Add(1234 * time.Microsecond)
 	r.env.Schedule(crash, func() {
 		r.cl.Nodes[0].Fail()
-		r.cl.Nodes[4].Fail()
+		r.cl.Nodes[3].Fail()
 	})
 	// Before the crash the rig is quiet: the pollers tick without resuming.
 	events, handoffs := r.env.Events(), r.env.Handoffs()
@@ -381,7 +369,7 @@ func TestPollerExitsWhenNodeFailsWhileIdle(t *testing.T) {
 			exits[name] = des.Time(ev.At)
 		}
 	}
-	for _, name := range []string{"dfs.chainpush.0", "dfs.mirror.0", "dfs.chain.4"} {
+	for _, name := range []string{"dfs.chainpush.0", "dfs.chain.3"} {
 		at, ok := exits[name]
 		if !ok {
 			t.Errorf("%s did not exit after its node failed", name)
@@ -391,7 +379,7 @@ func TestPollerExitsWhenNodeFailsWhileIdle(t *testing.T) {
 			t.Errorf("%s exited at %v, want the first tick in [%v, %v]", name, at, crash, crash.Add(filterInterval))
 		}
 	}
-	for _, name := range []string{"dfs.chain.3", "dfs.chain.5"} {
+	for _, name := range []string{"dfs.chain.2", "dfs.chain.4"} {
 		if _, ok := exits[name]; ok {
 			t.Errorf("%s exited, but its node is up", name)
 		}

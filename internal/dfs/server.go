@@ -26,10 +26,7 @@ type Server struct {
 	eager    []*rmem.Import // subscribed eager-update boards (§3.2)
 	reliable bool           // WithReliableReplies: retransmitting outbound writes
 
-	standby      *rmem.Import  // hot-standby mirror segment (AttachStandby)
-	shadow       []byte        // data-area image as of the last mirror pass
-	mirrorFilter *bucketFilter // data buckets the mirror pass must revisit
-	guard        WriteGuard    // mutation gate (SetWriteGuard); nil allows all
+	guard WriteGuard // mutation gate (SetWriteGuard); nil allows all
 
 	chainHead    *rmem.Import   // first chain member's segment (AttachChain)
 	chainMembers []*rmem.Import // every member's segment, chain order (abort re-poison)
@@ -46,7 +43,6 @@ type Server struct {
 	OpCounts     map[Op]int64 // per-op server procedure executions
 	Synced       int64        // dirty blocks applied by Sync
 	EagerPushes  int64        // attribute records pushed to subscribers
-	Mirrored     int64        // data buckets pushed to the hot standby
 	ChainPushes  int64        // framed buckets pushed down the replica chain
 	ChainAborts  int64        // pushes aborted by a racing write-grant recall
 	GuardDenials int64        // mutations refused by the write guard
@@ -132,99 +128,19 @@ func (s *Server) Deposits(fstore.Handle) int64 { return s.DataDeposits() }
 func (s *Server) Epoch() uint16 { return s.m.Incarnation() }
 
 // ---------------------------------------------------------------------------
-// Hot-standby mirroring. The only server state that cannot be rebuilt from
-// the file store is write-behind data: dirty blocks that clerks deposited
-// in the data area but Sync has not yet applied. AttachStandby mirrors
-// exactly those buckets to a standby node with plain remote WRITEs — pure
-// data transfer (§3.1): the standby's CPU is never interrupted, it just
-// holds memory. On a primary crash, Standby.TakeOver grafts the mirrored
-// dirty buckets into a fresh incarnation of the service.
-
-// AttachStandby imports the standby's mirror segment, stamps its header,
-// and spawns the mirror daemon pushing changed dirty buckets every
-// interval. Call once, after warm-up, on the primary.
-func (s *Server) AttachStandby(p *des.Proc, sb *Standby, interval des.Duration) {
-	id, gen, size := sb.MirrorSeg()
-	s.standby = s.m.Import(p, sb.Node().ID, id, gen, size)
-	if s.reliable {
-		s.standby.SetReliable(true)
-	}
-	hdr := make([]byte, mirrorHdr)
-	binary.BigEndian.PutUint32(hdr[0:], uint32(s.Geo.AttrBuckets))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(s.Geo.NameBuckets))
-	binary.BigEndian.PutUint32(hdr[8:], uint32(s.Geo.LinkBuckets))
-	binary.BigEndian.PutUint32(hdr[12:], uint32(s.Geo.DataBuckets))
-	binary.BigEndian.PutUint32(hdr[16:], uint32(s.Geo.DirBuckets))
-	binary.BigEndian.PutUint32(hdr[20:], uint32(s.Epoch()))
-	if err := s.standby.WriteBlock(p, 0, hdr, false); err != nil {
-		s.m.WriteFaults = append(s.m.WriteFaults, fmt.Errorf("dfs: mirror header: %w", err))
-	}
-	s.shadow = append([]byte(nil), s.data.Bytes()...)
-	s.mirrorFilter = newBucketFilter(s.data, nil, 0, dataStride, s.Geo.DataBuckets)
-	idle := func() bool { return !s.m.Node.Failed() && s.mirrorFilter.quiet() }
-	s.m.Node.Env.SpawnDaemon(fmt.Sprintf("dfs.mirror.%d", s.m.Node.ID), func(p *des.Proc) {
-		for {
-			p.SleepWhile(interval, idle)
-			if s.m.Node.Failed() {
-				return
-			}
-			s.mirrorPass(p)
-		}
-	})
-}
-
-// mirrorPass pushes every data bucket that changed since the last pass and
-// involves dirty state — either it became dirty, or it was dirty and has
-// since been applied (so the standby must not replay a stale block). Clean
-// installs (warm-up, read misses) are reconstructible from the file store
-// and are deliberately not mirrored: the steady-state mirror traffic is
-// proportional to the write-behind window, not the cache size. Only
-// buckets written since they were last settled are looked at (see
-// bucketFilter).
-func (s *Server) mirrorPass(p *des.Proc) {
-	f := s.mirrorFilter
-	if !f.begin() {
-		return
-	}
-	buf := s.data.Bytes()
-	for b := 0; b < s.Geo.DataBuckets; b++ {
-		if !f.stale(b) {
-			continue
-		}
-		lo := b * dataStride
-		cur := buf[lo : lo+dataStride]
-		old := s.shadow[lo : lo+dataStride]
-		// Flags first: a clean bucket that was clean at the last push
-		// compares no block bytes.
-		curFlag := binary.BigEndian.Uint32(cur)
-		oldFlag := binary.BigEndian.Uint32(old)
-		if (curFlag != flagDirty && oldFlag != flagDirty) || bytes.Equal(cur, old) {
-			f.settle(b, f.now())
-			continue
-		}
-		if err := s.standby.WriteBlock(p, mirrorHdr+lo, cur, false); err != nil {
-			s.m.WriteFaults = append(s.m.WriteFaults, fmt.Errorf("dfs: mirror bucket %d: %w", b, err))
-			f.hold()
-			return
-		}
-		copy(old, cur)
-		f.settle(b, f.now())
-		s.Mirrored++
-		if tr := s.m.Node.Env.Tracer(); tr != nil {
-			tr.Count("dfs.mirror.buckets", 1)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Replica chain. AttachChain extends the standby mirror into an ordered
-// read tier: the primary pushes every changed data bucket — clean warm
-// installs included, because replicas serve reads — to the first chain
-// member as a seqlock-framed record, and the members relay it onward
+// Replica chain: the server's one replication path. The only server state
+// that cannot be rebuilt from the file store is write-behind data — dirty
+// blocks clerks deposited in the data area that Sync has not yet applied —
+// and a chain holds it with plain remote WRITEs, pure data transfer
+// (§3.1). The primary pushes every changed data bucket (clean warm installs
+// included, because members may serve reads) to the first chain member as
+// a seqlock-framed record, and the members relay it onward
 // (ChainReplica.forwardPass). The exported chain-state segment publishes a
 // per-bucket (epoch, version) watermark that read-token grants stamp as
 // their freshness floor, plus per-member ack words the failover prober
-// compares to promote the most-advanced member.
+// compares to promote the most-advanced member. A hot standby is a
+// one-member chain no clerk reads from; on a primary crash,
+// ChainReplica.TakeOver grafts the dirty frames into a fresh incarnation.
 
 // AttachChain wires the replica chain under this primary: exports the
 // chain-state segment, stamps every member's header, points each member at
@@ -296,10 +212,9 @@ func (s *Server) AttachChain(p *des.Proc, epoch uint32, members []*ChainReplica,
 		cr.start(interval)
 	}
 
-	// A zero shadow (unlike the mirror's live snapshot): warm clean blocks
-	// must reach the replicas too, since they serve reads, not just takeover.
-	// A fresh filter leaves every bucket unsettled, so the next pass
-	// compares everything against it.
+	// A zero shadow: warm clean blocks reach the members too, since they
+	// may serve reads, not just takeover. A fresh filter leaves every
+	// bucket unsettled, so the next pass compares everything against it.
 	s.chainShadow = make([]byte, len(s.data.Bytes()))
 	s.chainFilter = newBucketFilter(s.data, st, 0, dataStride, buckets)
 	if !s.chainDaemon {
@@ -495,9 +410,9 @@ func (s *Server) MigrateBuckets(p *des.Proc, dst func(fstore.Handle) (*rmem.Impo
 			}
 		}
 		if clear {
-			// The shadow copy is left alone: the next mirror pass sees the
+			// The shadow copy is left alone: the next chain pass sees the
 			// dirty→empty transition and pushes the cleared bucket, so a
-			// standby cannot replay a block the donor no longer owns.
+			// chain member cannot replay a block the donor no longer owns.
 			binary.BigEndian.PutUint32(s.storeData(lo, 4), flagEmpty)
 			cleared++
 		}
@@ -709,7 +624,7 @@ func (s *Server) refreshCachedBlocks(h fstore.Handle) {
 func (s *Server) Sync(p *des.Proc) (int, error) {
 	if !s.allowWrite(p) {
 		// A fenced primary must not apply clerk deposits — the successor
-		// has (or will have) the mirrored copies. Not an error: the sync
+		// has (or will have) the chained copies. Not an error: the sync
 		// daemon keeps polling and resumes if the lease ever returns.
 		return 0, nil
 	}

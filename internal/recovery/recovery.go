@@ -3,7 +3,7 @@
 // watchdog composes from a periodic remote read — but detection alone
 // leaves a clerk wedged on descriptors into a dead machine. The
 // coordinator closes the loop: a heartbeat watchdog's verdict runs the
-// registered failover steps (promote a standby, re-import, rebind) with
+// registered failover steps (promote a chain member, re-import, rebind) with
 // capped exponential backoff, and measures the outage — MTTR from the
 // last probe that proved the peer alive to the moment the last step
 // completed, the recovery-latency metric kernel-bypass systems are judged
@@ -11,7 +11,7 @@
 // fence decree, and no step runs until it commits.
 //
 // The coordinator is service-agnostic: it knows nothing about the file
-// service. Services register their own steps (dfs wires standby takeover
+// service. Services register their own steps (dfs wires chain takeover
 // and clerk rebind); the coordinator supplies ordering, retry policy,
 // the verdict gate, and measurement.
 package recovery
@@ -131,7 +131,7 @@ func Arm(p *des.Proc, primary, watcher *rmem.Manager, interval des.Duration, cfg
 func (c *Coordinator) ReplicateVerdicts(vl VerdictLog) { c.vlog = vl }
 
 // OnFailover appends a repair step. Steps run in registration order — a
-// dfs deployment registers standby takeover before clerk rebind.
+// dfs deployment registers chain takeover before clerk rebind.
 func (c *Coordinator) OnFailover(name string, run func(p *des.Proc) error) {
 	c.steps = append(c.steps, Step{Name: name, Run: run})
 }

@@ -8,6 +8,7 @@ import (
 	"netmem/internal/des"
 	"netmem/internal/dfs"
 	"netmem/internal/faults"
+	"netmem/internal/rmem"
 )
 
 // Sharded chaos harness: the Figure 2 operation mix run against the
@@ -51,8 +52,8 @@ type ChaosResult struct {
 
 // RunChaos measures the Figure 2 mix on a sharded rig twice — fault-free
 // baseline, then under the campaign — with the reliability layer on and a
-// hot standby armed per shard in both legs (identical topology, identical
-// background traffic).
+// hot standby (a one-member replica chain) armed per shard in both legs
+// (identical topology, identical background traffic).
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: chaos needs at least one shard, got %d", cfg.Shards)
@@ -115,7 +116,7 @@ func (r *chaosRig) warm(mode dfs.Mode) (err error) {
 }
 
 // runChaosMix runs one leg: shard i on node i, the clerk on node S, and
-// (with failover) shard i's standby on node S+1+i.
+// (with failover) shard i's standby, a one-member chain, on node S+1+i.
 func runChaosMix(camp *faults.Campaign, seed int64, mode dfs.Mode, shards int, failover bool) (*chaosRig, error) {
 	nodes := shards + 1
 	if failover {
@@ -156,10 +157,16 @@ func runChaosMix(camp *faults.Campaign, seed int64, mode dfs.Mode, shards int, f
 			return err
 		}
 		if failover {
-			// The clerk rebinds itself through its Membership subscription
-			// when the coordinator publishes the slot move.
+			// Each shard's hot standby is a one-member chain. The clerk
+			// rebinds itself through its Membership subscription when the
+			// coordinator publishes the slot move.
 			for i := 0; i < shards; i++ {
-				r.svc.ArmFailover(p, i, mgrs[shards+1+i], mc, 100*time.Microsecond)
+				if err := r.svc.AttachReplicas(p, i, []*rmem.Manager{mgrs[shards+1+i]}, 100*time.Microsecond); err != nil {
+					return err
+				}
+				if _, err := r.svc.ArmChainFailover(p, i, mc, 100*time.Microsecond); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
@@ -192,7 +199,7 @@ func runChaosMix(camp *faults.Campaign, seed int64, mode dfs.Mode, shards int, f
 		// shard that owns its key.
 		r.strays, r.repaired, r.divErr = r.svc.CheckDivergence(p)
 	})
-	// Heartbeat/watchdog/mirror daemons never idle, so the failover rig
+	// Heartbeat/watchdog/chain daemons never idle, so the failover rig
 	// needs a finite horizon.
 	horizon := des.Time(120 * time.Second)
 	if failover {

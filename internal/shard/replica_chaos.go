@@ -12,8 +12,8 @@ import (
 // Replica-chain chaos harness: the Figure 2 mix against one shard backed
 // by a k-member replica chain, with the clerk's read path going through
 // the chain (token cache + replica reads) and failover promoting the
-// most-advanced member instead of a dedicated standby. Built for the
-// `replicalag` campaign — per-link delays starve deep chain members while
+// most-advanced of k members, not the one member of a hot standby. Built
+// for the `replicalag` campaign — per-link delays starve deep chain members while
 // the head stays current, then the primary dies — but runs any campaign.
 
 // ReplicaChaosConfig selects one replica chaos run.

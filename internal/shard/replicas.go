@@ -149,19 +149,30 @@ func (s *Service) spliceChain(p *des.Proc, slot int) {
 	}
 }
 
-// ArmChainFailover wires slot i's recovery path over its replica chain
-// instead of a dedicated standby: on heartbeat loss the coordinator reads
-// every member's applied watermark with bounded one-sided READs, promotes
-// the most advanced one (fenced takeover of its grafted write-behind
-// state), re-chains the survivors under it, and publishes the slot move so
-// clerks rebind. Call after AttachReplicas.
+// ArmChainFailover wires slot i's recovery path over its replica chain —
+// the shard tier's one failover arm, since a hot standby is a one-member
+// chain. It arms slot i's detector on watcher (recovery.Arm) with two
+// failover steps: on heartbeat loss the coordinator reads every member's
+// applied watermark with bounded one-sided READs, promotes the most
+// advanced one (fenced takeover of its grafted write-behind state) and
+// re-chains the survivors under it; then it publishes the slot move, which
+// every subscribed clerk answers by rebinding. It starts detection and
+// records the coordinator. Call after AttachReplicas.
 func (s *Service) ArmChainFailover(p *des.Proc, i int, watcher *rmem.Manager, hbInterval des.Duration) (*recovery.Coordinator, error) {
 	if i < 0 || i >= len(s.chains) || s.chains[i] == nil {
 		return nil, fmt.Errorf("shard: arm chain failover: slot %d has no chain", i)
 	}
-	return s.armSlot(p, i, watcher, hbInterval, "chain.promote", func(p *des.Proc) error {
+	rec, hb := recovery.Arm(p, s.mgrs[i], watcher, hbInterval, recovery.Config{})
+	rec.OnFailover("chain.promote", func(p *des.Proc) error {
 		return s.promoteChain(p, i, watcher)
-	}), nil
+	})
+	rec.OnFailover("membership.rebind", func(p *des.Proc) error {
+		s.mb.publishSlotMove(p, i, s.Shards[i].Node().ID)
+		return nil
+	})
+	rec.Watch(hb, 0)
+	s.coords[i] = rec
+	return rec, nil
 }
 
 // promoteChain elects and promotes the most-advanced live chain member of

@@ -46,10 +46,9 @@ type Service struct {
 	slotNodes int
 	opts      []dfs.ServerOption
 
-	clerks   []*Clerk
-	standbys []*dfs.Standby
-	coords   []*recovery.Coordinator
-	chains   []*chainSpec // slot-indexed replica chains (AttachReplicas)
+	clerks []*Clerk
+	coords []*recovery.Coordinator
+	chains []*chainSpec // slot-indexed replica chains (AttachReplicas)
 
 	names    []*nameserver.Clerk
 	ringHost *rmem.Manager
@@ -87,7 +86,6 @@ func NewService(p *des.Proc, mgrs []*rmem.Manager, slotNodes int, geo dfs.Geomet
 		mgrs:      append([]*rmem.Manager(nil), mgrs...),
 		slotNodes: slotNodes,
 		opts:      opts,
-		standbys:  make([]*dfs.Standby, len(mgrs)),
 		coords:    make([]*recovery.Coordinator, len(mgrs)),
 		ringHost:  mgrs[0],
 	}
@@ -112,8 +110,8 @@ func (s *Service) Membership() *Membership { return s.mb }
 // Owner maps a handle to its owning shard slot under the committed ring.
 func (s *Service) Owner(h fstore.Handle) int { return s.Ring.Owner(h.U64()) }
 
-// NodeOf returns the node id currently serving slot i (the standby's node
-// after a failover), or -1 for a vacant slot.
+// NodeOf returns the node id currently serving slot i (the promoted chain
+// member's node after a failover), or -1 for a vacant slot.
 func (s *Service) NodeOf(i int) int {
 	if i < 0 || i >= len(s.Shards) || s.Shards[i] == nil {
 		return -1
@@ -180,7 +178,6 @@ func (s *Service) AddShard(p *des.Proc, m *rmem.Manager) (int, error) {
 		slot = len(s.Shards)
 		s.Shards = append(s.Shards, nil)
 		s.mgrs = append(s.mgrs, nil)
-		s.standbys = append(s.standbys, nil)
 		s.coords = append(s.coords, nil)
 	}
 	srv := dfs.NewServer(p, m, s.slotNodes, s.Geo, append([]dfs.ServerOption{dfs.WithStore(s.Store)}, s.opts...)...)
@@ -376,7 +373,7 @@ func (s *Service) receiverFor(p *des.Proc, donorSlot int, next *Ring) func(fstor
 
 // CheckDivergence verifies post-chaos residency: every resident data
 // bucket on every live shard must belong to that shard under the current
-// ring. Strays can appear when a failover restores mirrored state from
+// ring. Strays can appear when a failover grafts chained state from
 // before a cutover; repair pushes dirty strays to their owner (one-sided,
 // exactly like the migration) and evicts the rest. Returns the stray
 // count and how many carried dirty state that was pushed.
@@ -682,48 +679,8 @@ func ResolveRingAny(p *des.Proc, m *rmem.Manager, ns *nameserver.Clerk, hints []
 // keep per-node copies under "dfs.ring.<node>".
 const RingName = ringName
 
-// ---------------------------------------------------------------------------
-// Failover (PR 3 machinery, now published through the membership).
-
-// ArmFailover wires shard i's recovery path: a hot standby on sbm's node
-// mirroring the shard's write-behind state, a heartbeat exported by the
-// shard for the watcher's coordinator, and two failover steps — fenced
-// standby takeover, then a membership slot-move publication that every
-// subscribed clerk answers by rebinding to the new incarnation. Returns
-// the armed coordinator.
-func (s *Service) ArmFailover(p *des.Proc, i int, sbm, watcher *rmem.Manager, hbInterval des.Duration) *recovery.Coordinator {
-	primary := s.Shards[i]
-	s.standbys[i] = dfs.NewStandby(p, sbm, primary.Geo)
-	primary.AttachStandby(p, s.standbys[i], hbInterval)
-
-	return s.armSlot(p, i, watcher, hbInterval, "standby.takeover", func(p *des.Proc) error {
-		srv, err := s.standbys[i].TakeOver(p, s.Store, s.slotNodes, s.opts...)
-		if err != nil {
-			return err
-		}
-		s.Shards[i] = srv
-		return nil
-	})
-}
-
-// armSlot arms slot i's detector on watcher (recovery.Arm) with two
-// failover steps — promote, which installs the slot's new primary, then
-// the membership slot-move publication every subscribed clerk answers by
-// rebinding — starts detection and records the coordinator.
-func (s *Service) armSlot(p *des.Proc, i int, watcher *rmem.Manager, hbInterval des.Duration, step string, promote func(p *des.Proc) error) *recovery.Coordinator {
-	rec, hb := recovery.Arm(p, s.mgrs[i], watcher, hbInterval, recovery.Config{})
-	rec.OnFailover(step, promote)
-	rec.OnFailover("membership.rebind", func(p *des.Proc) error {
-		s.mb.publishSlotMove(p, i, s.Shards[i].Node().ID)
-		return nil
-	})
-	rec.Watch(hb, 0)
-	s.coords[i] = rec
-	return rec
-}
-
 // Coordinators returns the per-shard recovery coordinators (nil entries for
-// shards without ArmFailover).
+// shards without ArmChainFailover).
 func (s *Service) Coordinators() []*recovery.Coordinator {
 	return append([]*recovery.Coordinator(nil), s.coords...)
 }

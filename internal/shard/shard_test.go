@@ -398,7 +398,8 @@ func TestTokenWriteInvalidatesPeerCache(t *testing.T) {
 }
 
 func TestShardFailoverRebind(t *testing.T) {
-	// Topology: shards on 0,1; clerk on 2; standby for shard 0 on 3.
+	// Topology: shards on 0,1; clerk on 2; shard 0's hot standby (a
+	// one-member chain) on 3.
 	env := des.NewEnv()
 	cl := cluster.New(env, &model.Default, 4)
 	var mgrs []*rmem.Manager
@@ -422,12 +423,17 @@ func TestShardFailoverRebind(t *testing.T) {
 		}
 		// The clerk rebinds itself via its Membership subscription when the
 		// coordinator publishes the slot move.
-		svc.ArmFailover(p, 0, mgrs[3], mgrs[2], 100*time.Microsecond)
+		if err := svc.AttachReplicas(p, 0, []*rmem.Manager{mgrs[3]}, 100*time.Microsecond); err != nil {
+			panic(err)
+		}
+		if _, err := svc.ArmChainFailover(p, 0, mgrs[2], 100*time.Microsecond); err != nil {
+			panic(err)
+		}
 	})
 	if err := env.RunUntil(des.Time(50 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	// Kill shard 0's node; the coordinator must promote the standby and
+	// Kill shard 0's node; the coordinator must promote the member and
 	// rebind the clerk, after which ops on shard 0's keys succeed again.
 	old0 := svc.NodeOf(0)
 	cl.Nodes[old0].Fail()
@@ -438,7 +444,7 @@ func TestShardFailoverRebind(t *testing.T) {
 			return
 		}
 		if svc.NodeOf(0) != 3 {
-			t.Errorf("shard 0 now on node %d, want standby node 3", svc.NodeOf(0))
+			t.Errorf("shard 0 now on node %d, want chain member node 3", svc.NodeOf(0))
 		}
 		clerk.FlushLocal()
 		want, err := svc.Store.Read(h, 0, 8192)

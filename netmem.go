@@ -199,8 +199,9 @@ var (
 // segment directly — the primary spends zero CPU on replica reads.
 type (
 	// ChainReplica is one member of a shard's replica chain: it exports a
-	// framed mirror of the primary's data area, relays landed frames
-	// downstream, and acks its applied version upstream.
+	// framed copy of the primary's data area, relays landed frames
+	// downstream, acks its applied version upstream, and takes over when
+	// the primary dies. A hot standby is a one-member chain.
 	ChainReplica = dfs.ChainReplica
 	// ReplicaScalePoint is one row of the 1→k replica scaling sweep
 	// (goodput, replica reads, primary CPU occupancy, push CPU).
@@ -280,9 +281,6 @@ type (
 	RecoveryStep = recovery.Step
 	// WatchdogConfig tunes a watchdog's probe cadence and liveness grace.
 	WatchdogConfig = rmem.WatchdogConfig
-	// FileStandby is the file service's hot-standby end: it holds a mirror
-	// of the primary's write-behind state and promotes itself on takeover.
-	FileStandby = dfs.Standby
 )
 
 // Observability (the obs subsystem, reached through WithTrace / System.Obs).
@@ -594,8 +592,8 @@ var (
 // to one subsystem; its methods resolve nodes and managers from the system,
 // so callers name nodes by index instead of threading managers around.
 
-// FilesAPI builds the single-server file service of §5: servers, clerks,
-// and hot standbys. Obtain one with System.Files.
+// FilesAPI builds the single-server file service of §5: servers and
+// clerks. Obtain one with System.Files.
 type FilesAPI struct{ sys *System }
 
 // Files returns the file-service builder.
@@ -609,13 +607,6 @@ func (f FilesAPI) Server(p *Proc, node int, geo FileGeometry, opts ...FileServer
 // Clerk wires a clerk on node to srv; call from a Proc.
 func (f FilesAPI) Clerk(p *Proc, node int, srv *FileServer, mode FileMode, opts ...FileClerkOption) *FileClerk {
 	return dfs.NewClerk(p, f.sys.Mem[node], srv, mode, opts...)
-}
-
-// Standby exports a hot-standby mirror for a file service with geo on
-// node; wire it to the primary with FileServer.AttachStandby, and on the
-// primary's death promote it with FileStandby.TakeOver. Call from a Proc.
-func (f FilesAPI) Standby(p *Proc, node int, geo FileGeometry) *FileStandby {
-	return dfs.NewStandby(p, f.sys.Mem[node], geo)
 }
 
 // ShardsAPI builds the sharded, elastic file tier: the namespace

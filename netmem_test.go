@@ -242,9 +242,6 @@ func TestFacadeBuilders(t *testing.T) {
 		if sys.Files().Clerk(p, 1, srv, DX) == nil {
 			t.Error("Files().Clerk returned nil")
 		}
-		if sys.Files().Standby(p, 2, FileGeometry{}) == nil {
-			t.Error("Files().Standby returned nil")
-		}
 		svc := sys.Shards().Service(p, FileGeometry{})
 		if sys.Shards().Clerk(p, 3, svc, DX) == nil {
 			t.Error("Shards().Clerk returned nil")
