@@ -5,8 +5,8 @@
 // takes the best wall-clock rep (least scheduler noise), and emits a JSON
 // report (BENCH_PR4.json in CI).
 //
-// Each leg also records its goroutine hand-offs (des.Env.Handoffs): process
-// resumptions that switch goroutines, the dominant host cost of the event
+// Each leg also records its coroutine hand-offs (des.Env.Handoffs): process
+// resumptions that switch coroutines, the costliest step of the event
 // loop. The count is deterministic, so it is gated exactly. And it records
 // its heap allocations (the runtime.MemStats.Mallocs delta over the rep),
 // which repeat to within a fraction of a percent for a given toolchain.
@@ -45,7 +45,7 @@ type Result struct {
 	Reps         int     `json:"reps"`
 	WallSeconds  float64 `json:"wall_seconds"` // best rep
 	Events       uint64  `json:"events"`       // simulator events in one rep
-	Handoffs     uint64  `json:"handoffs"`     // goroutine hand-offs in one rep, over every Env it runs
+	Handoffs     uint64  `json:"handoffs"`     // coroutine hand-offs in one rep, over every Env it runs
 	Mallocs      uint64  `json:"mallocs"`      // heap allocations in one rep
 	EventsPerSec float64 `json:"events_per_sec"`
 }

@@ -1,6 +1,6 @@
 // Package des implements a deterministic discrete-event simulation kernel.
 //
-// The kernel provides virtual time, an event queue, goroutine-backed
+// The kernel provides virtual time, an event queue, coroutine-backed
 // simulated processes, and FIFO resources (used to model CPUs and other
 // serially shared hardware). Exactly one goroutine — the Run caller or a
 // single simulated process — runs at any instant, so simulated code
@@ -8,7 +8,7 @@
 // timestamp fire in the order they were scheduled.
 //
 // A simulated process is an ordinary function executing on its own
-// goroutine. It advances virtual time only through the blocking primitives
+// coroutine. It advances virtual time only through the blocking primitives
 // on *Proc (Sleep, Acquire, FIFO.Get, …); pure computation between those
 // calls is instantaneous in virtual time. This lets functional behaviour
 // (moving real bytes, probing real hash tables) be written as straight-line
@@ -16,15 +16,24 @@
 //
 // # Scheduling fast path
 //
-// There is no dedicated scheduler goroutine. The event loop runs on
-// whichever goroutine last blocked: a process that calls Sleep pops and
-// executes events itself until one of them resumes it (zero context
-// switches for a self-wake) or resumes another process (one channel
-// hand-off, not two). Event records are pooled and carry either a bare
-// callback or a process pointer, so the hot Sleep/WakeOne paths allocate
-// nothing. None of this changes virtual-time results: events still fire
-// in (time, schedule-order) order, only the OS goroutine executing the
-// loop differs.
+// Each process is a runtime coroutine (iter.Pull), not a goroutine parked
+// on a channel, and there is no dedicated scheduler goroutine. The event
+// loop runs on whichever coroutine last blocked: a process that calls
+// Sleep pops and executes events itself until one of them resumes it (no
+// switch at all for a self-wake) or resumes another process. In the
+// second case it names the target in Env.handoff and yields to Run's
+// goroutine, a trampoline that resumes the target: two coroutine switches,
+// with no scheduler or futex involved. Event records are pooled and carry
+// either a bare callback or a process pointer, so the hot Sleep/WakeOne
+// paths allocate nothing. None of this changes virtual-time results:
+// events still fire in (time, schedule-order) order, only the coroutine
+// executing the loop differs.
+//
+// A panic inside a process reaches Run's caller with the same value, since
+// iter.Pull re-raises it in whoever resumed the coroutine; the process's
+// original stack is lost. A process that exits through runtime.Goexit (as
+// t.Fatal does) stays parked for good instead, so the Goexit does not
+// unwind Run's caller.
 //
 // Only live events stay in the queue. Most timers are disarmed long before
 // they are due (every non-blocking remote read arms one), so a cancel
@@ -33,13 +42,13 @@
 // (time, sequence) is a total order, any heap of the same live records
 // pops them in the same order.
 //
-// A hand-off still costs a goroutine switch, about a microsecond of host
-// time against tens of nanoseconds for a callback, so the invariant above
-// the kernel is that a process resumes only where it needs process
-// context. Per-cell and per-tick work runs as callbacks instead, and every
-// callback form takes the sequence numbers the process would have taken,
-// so event order and Events() do not change when a process loop becomes a
-// state machine:
+// A hand-off still costs two coroutine switches, a few hundred nanoseconds
+// of host time against tens of nanoseconds for a callback, so the
+// invariant above the kernel is that a process resumes only where it needs
+// process context. Per-cell and per-tick work runs as callbacks instead,
+// and every callback form takes the sequence numbers the process would
+// have taken, so event order and Events() do not change when a process
+// loop becomes a state machine:
 //
 //   - WaitQueue.WaitFunc, FIFO.OnItem and FIFO.OnSpace park a callback
 //     where a process would block in Wait, Get or Put;
@@ -58,7 +67,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -182,17 +191,17 @@ type Env struct {
 	queue    eventQueue
 	dead     int // cancelled records still in queue
 	seq      uint64
-	pool     []*event      // free list of recycled event records
-	mainWake chan struct{} // wakes the Run goroutine at termination
-	deadline Time          // the current run stops before any later event
-	runErr   error         // outcome of the current run
-	inProc   bool          // true while a simulated process is executing
-	nprocs   int           // live (spawned, not finished) processes
-	procs    []*Proc       // every unfinished process, daemons included
+	pool     []*event // free list of recycled event records
+	handoff  *Proc    // the process Run's trampoline resumes next; nil ends the run
+	deadline Time     // the current run stops before any later event
+	runErr   error    // outcome of the current run
+	inProc   bool     // true while a simulated process is executing
+	nprocs   int      // live (spawned, not finished) processes
+	procs    []*Proc  // every unfinished process, daemons included
 	halted   bool
 	shutdown bool   // Shutdown has begun: parked processes exit
 	executed uint64 // events fired over the environment's lifetime
-	handoffs uint64 // resumptions that switched goroutines
+	handoffs uint64 // resumptions that switched coroutines
 
 	obs *obs.Tracer // nil = observability disabled
 
@@ -244,7 +253,7 @@ func (e *Env) Tracer() *obs.Tracer { return e.obs }
 
 // NewEnv returns an empty simulation environment at time zero.
 func NewEnv() *Env {
-	return &Env{mainWake: make(chan struct{})}
+	return &Env{}
 }
 
 // Now returns the current virtual time.
@@ -256,18 +265,19 @@ func (e *Env) Now() Time { return e.now }
 func (e *Env) Events() uint64 { return e.executed }
 
 // Handoffs returns the number of process resumptions whose target was not
-// the goroutine driving the event loop: each one is a channel rendezvous
-// between two goroutines. A self-wake (a process popping its own
-// resumption) is not a hand-off. Like Events, the count is deterministic.
+// the process driving the event loop: each one is a yield to Run's
+// trampoline and a resumption of the target, two coroutine switches. A
+// self-wake (a process popping its own resumption) is not a hand-off. Like
+// Events, the count is deterministic.
 func (e *Env) Handoffs() uint64 { return e.handoffs }
 
 // totalHandoffs sums Handoffs over every Env in the process.
 var totalHandoffs atomic.Uint64
 
-// TotalHandoffs returns the hand-offs of every Env in the process so far,
-// for harnesses that time runs whose Env they never see: the difference
-// across a run is that run's hand-off count, provided no other simulation
-// runs concurrently.
+// TotalHandoffs returns the coroutine hand-offs of every Env in the
+// process so far, for harnesses that time runs whose Env they never see:
+// the difference across a run is that run's hand-off count, provided no
+// other simulation runs concurrently.
 func TotalHandoffs() uint64 { return totalHandoffs.Load() }
 
 // alloc takes an event record from the pool, or makes one.
@@ -323,8 +333,8 @@ func (e *Env) ScheduleFunc(at Time, fn func()) {
 // to now if in the past). It returns a cancel function; cancelling after
 // the event has fired is a no-op. A cancelled event leaves the queue by
 // the time dead records outnumber live ones. fn must not block — it runs
-// on the event-loop goroutine. To start blocking work, Spawn a process
-// instead.
+// inside the event loop, on whichever coroutine drives it. To start
+// blocking work, Spawn a process instead.
 func (e *Env) Schedule(at Time, fn func()) (cancel func()) {
 	ev := e.schedule(at)
 	ev.fn = fn
@@ -387,13 +397,15 @@ func (e *Env) After(d Duration, fn func()) (cancel func()) {
 }
 
 // Proc is a simulated process. All blocking primitives must be called from
-// the process's own goroutine (the function passed to Spawn); calling them
+// the process's own coroutine (the function passed to Spawn); calling them
 // from anywhere else corrupts the simulation and panics where detectable.
 type Proc struct {
 	env      *Env
 	name     string
-	resume   chan struct{}
-	woken    bool // set by the waker for wait-queue hand-offs
+	next     func() (struct{}, bool) // runs the coroutine until it yields or ends
+	yield    func(struct{}) bool     // suspends the coroutine back to next's caller
+	woken    bool                    // set by the waker for wait-queue hand-offs
+	daemon   bool
 	finished bool
 	slot     int // index in env.procs while unfinished
 }
@@ -423,7 +435,7 @@ func (e *Env) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 }
 
 func (e *Env) spawn(name string, fn func(*Proc), daemon bool) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{}), slot: len(e.procs)}
+	p := &Proc{env: e, name: name, daemon: daemon, slot: len(e.procs)}
 	e.procs = append(e.procs, p)
 	if !daemon {
 		e.nprocs++
@@ -432,53 +444,72 @@ func (e *Env) spawn(name string, fn func(*Proc), daemon bool) *Proc {
 		e.obs.Count("des.proc.spawned", 1)
 		e.obs.Instant("sched", "des", "spawn "+name, time.Duration(e.now))
 	}
-	go func() {
-		// The deferred hand-off runs even if fn exits via runtime.Goexit
-		// (e.g. t.Fatal inside simulated test code), so one dying process
-		// cannot wedge the event loop: the dying goroutine drives the loop
-		// just long enough to pass control onward, then exits.
-		defer func() {
-			p.finished = true
-			// Swap p out of the unfinished list.
-			last := e.procs[len(e.procs)-1]
-			last.slot = p.slot
-			e.procs[p.slot] = last
-			e.procs[len(e.procs)-1] = nil
-			e.procs = e.procs[:len(e.procs)-1]
-			if !daemon {
-				e.nprocs--
-			}
-			if e.shutdown {
-				e.mainWake <- struct{}{} // back to Shutdown, not the loop
-				return
-			}
-			if e.obs != nil {
-				e.obs.Instant("sched", "des", "exit "+name, time.Duration(e.now))
-			}
-			e.loop(nil, true)
-		}()
-		<-p.resume // first activation
-		if e.shutdown {
-			runtime.Goexit()
-		}
-		fn(p)
-	}()
+	p.start(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.body(fn)
+	})
 	e.scheduleProc(e.now, p)
 	return p
 }
 
-// block parks the calling process: its goroutine takes over the event loop
-// until some event resumes this process (directly, with zero channel
-// hand-offs, if the resuming event is the next one popped). Under Shutdown
-// the process exits instead, whether it was parked when Shutdown began or
-// blocks again from a deferred call while it unwinds.
+// shutdownPanic unwinds a parked process under Shutdown: block panics
+// with it and the process's body recovers it. It is not zero-sized, so
+// its address is unique.
+var shutdownPanic = new(struct{ byte })
+
+// body runs fn on the process's coroutine. It returns to whoever resumed
+// the coroutine last: Run's trampoline, which then drives the loop onward,
+// or Shutdown. A process that never started returns without running fn.
+func (p *Proc) body(fn func(*Proc)) {
+	e := p.env
+	returned := false
+	defer func() {
+		r := recover()
+		p.finished = true
+		// Swap p out of the unfinished list.
+		last := e.procs[len(e.procs)-1]
+		last.slot = p.slot
+		e.procs[p.slot] = last
+		e.procs[len(e.procs)-1] = nil
+		e.procs = e.procs[:len(e.procs)-1]
+		if !p.daemon {
+			e.nprocs--
+		}
+		if r != nil && r != shutdownPanic {
+			panic(r) // iter.Pull re-raises it in Run's caller
+		}
+		if e.obs != nil && !e.shutdown {
+			e.obs.Instant("sched", "des", "exit "+p.name, time.Duration(e.now))
+		}
+		if !returned && r == nil {
+			// runtime.Goexit (t.Fatal inside simulated test code): iter.Pull
+			// would re-raise it in the trampoline, so yield instead and stay
+			// parked for good. The trampoline sees a finished process.
+			p.yield(struct{}{})
+		}
+	}()
+	if !e.shutdown {
+		fn(p)
+	}
+	returned = true
+}
+
+// block parks the calling process: it drives the event loop until some
+// event resumes a process. If that is the caller itself, block returns at
+// once with no switch; otherwise the caller names the target for Run's
+// trampoline and yields, and returns when an event resumes it later. Under
+// Shutdown the process unwinds instead, whether it was parked when
+// Shutdown began or blocks again from a deferred call while it unwinds.
 func (p *Proc) block() {
 	e := p.env
 	if !e.shutdown {
-		e.loop(p, false)
+		if next := e.loop(p); next != p {
+			e.handoff = next
+			p.yield(struct{}{})
+		}
 	}
 	if e.shutdown {
-		runtime.Goexit()
+		panic(shutdownPanic)
 	}
 }
 
@@ -496,7 +527,7 @@ func (p *Proc) Sleep(d Duration) {
 // for as long as idle() reports that the pass the process would run on
 // waking has nothing to do. idle runs in scheduler context at each tick; it
 // must not block and must have no effect beyond what the skipped pass would
-// have had. An idle tick costs no goroutine switch: the event loop re-arms
+// have had. An idle tick costs no coroutine switch: the event loop re-arms
 // the tick at now+d with the next sequence number, exactly what the
 // process's own Sleep(d) after a no-op pass would have taken, so event
 // order and Events() are as if the process had woken every d. d must be
@@ -558,63 +589,82 @@ func (e *Env) run(deadline Time) error {
 	e.halted = false
 	e.deadline = deadline
 	e.runErr = nil
-	e.loop(nil, false)
+	// The trampoline: resume each process the loop hands control to. A
+	// process that yields has named the next one in e.handoff, cleared at
+	// once so no stale pointer keeps a process, and through it the Env,
+	// reachable; a finished one leaves the loop to be driven from here.
+	for p := e.loop(nil); p != nil; {
+		p.next()
+		if p.finished {
+			p = e.loop(nil)
+		} else {
+			p, e.handoff = e.handoff, nil
+		}
+	}
 	return e.runErr
 }
 
 // Shutdown unwinds every process still parked after a run, daemons
-// included, and discards the pending events, so the goroutines exit and
+// included, and discards the pending events, so the coroutines exit and
 // the Env, with everything its processes and events reference, can be
-// collected. Each process exits through runtime.Goexit where it is parked:
-// its deferred calls run without driving the event loop, and a blocking
-// call one of them makes exits at once. Call it from the goroutine that
-// called Run, after the last run; the Env cannot run again.
+// collected. Shutdown resumes each process where it is parked, and the
+// blocking call it is parked in panics with a private value that the
+// process's body recovers: its deferred calls run without driving the
+// event loop, and a blocking call one of them makes unwinds at once. Call
+// it from the goroutine that called Run, after the last run; the Env
+// cannot run again.
 func (e *Env) Shutdown() {
 	if e.inProc {
 		panic("des: Shutdown from process context")
 	}
 	e.shutdown = true
 	for len(e.procs) > 0 {
-		e.procs[len(e.procs)-1].resume <- struct{}{}
-		<-e.mainWake
+		e.procs[len(e.procs)-1].next()
 	}
 	e.queue.a, e.pool, e.dead = nil, nil, 0
 }
 
-// loop is the event loop. It migrates between goroutines instead of living
-// on a dedicated one:
-//
-//   - self != nil: a blocked process is driving the loop. The loop returns
-//     when an event resumes self — either popped directly (no hand-off) or,
-//     after control passed elsewhere, via self's resume channel.
-//   - self == nil, dying == false: the Run goroutine is driving. On
-//     hand-off it parks until termination is signalled on mainWake.
-//   - self == nil, dying == true: a finished process's goroutine is
-//     unwinding; it hands control onward and exits without parking.
-//
-// Termination (halt, the deadline, or a drained queue) records the run's
-// outcome in runErr; whichever goroutine detects it wakes the Run
-// goroutine. Exactly one goroutine executes loop at any instant, so Env
-// state needs no locking; every transfer is an unbuffered channel
-// rendezvous, which orders memory on both sides.
-func (e *Env) loop(self *Proc, dying bool) {
+// Stalled names the unfinished non-daemon processes that no pending event
+// will resume: after a run drains, these are the ones parked on a
+// condition nobody is left to signal.
+func (e *Env) Stalled() []string {
+	pending := make(map[*Proc]bool)
+	for _, ev := range e.queue.a {
+		if ev.proc != nil {
+			pending[ev.proc] = true
+		}
+	}
+	var names []string
+	for _, p := range e.procs {
+		if !p.daemon && !pending[p] {
+			names = append(names, p.name)
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// loop is the event loop, driven by a blocked process (self) or by Run's
+// trampoline (self == nil). It executes callbacks until an event resumes a
+// process and returns that process, or returns nil once the run ends
+// (halt, the deadline, or a drained queue), with the outcome in runErr. A
+// parked process stays parked until a later Run resumes it. Exactly one
+// coroutine executes loop at any instant, so Env state needs no locking;
+// every coroutine switch orders memory on both sides.
+func (e *Env) loop(self *Proc) *Proc {
 	e.inProc = false // whoever enters the loop left process context
 	for {
 		if e.halted {
-			e.terminate(self, dying, nil)
-			return
+			return nil
 		}
 		if e.queue.len() == 0 {
-			var err error
 			if e.nprocs > 0 {
-				err = fmt.Errorf("des: deadlock: %d process(es) blocked with no pending events", e.nprocs)
+				e.runErr = fmt.Errorf("des: deadlock: %d process(es) blocked with no pending events", e.nprocs)
 			}
-			e.terminate(self, dying, err)
-			return
+			return nil
 		}
 		if e.queue.a[0].at > e.deadline {
-			e.terminate(self, dying, nil)
-			return
+			return nil
 		}
 		ev := e.queue.pop()
 		if ev.cancelled {
@@ -644,38 +694,14 @@ func (e *Env) loop(self *Proc, dying bool) {
 				continue
 			}
 			e.inProc = true
-			if p == self {
-				return // self-wake: resume our own code, no hand-off
+			if p != self {
+				e.handoffs++
+				totalHandoffs.Add(1)
 			}
-			e.handoffs++
-			totalHandoffs.Add(1)
-			p.resume <- struct{}{}
-			switch {
-			case dying:
-				return // goroutine exits
-			case self == nil:
-				<-e.mainWake // park the Run goroutine until termination
-				return
-			default:
-				<-self.resume // park until an event resumes self
-				return
-			}
+			return p
 		}
 		fn := ev.fn
 		e.recycle(ev)
 		fn()
-	}
-}
-
-// terminate records the run's outcome and returns control to the Run
-// goroutine. A parked process stays parked until a later Run resumes it.
-func (e *Env) terminate(self *Proc, dying bool, err error) {
-	e.runErr = err
-	if self == nil && !dying {
-		return // we are the Run goroutine
-	}
-	e.mainWake <- struct{}{}
-	if self != nil {
-		<-self.resume // a later Run popped our resumption event
 	}
 }

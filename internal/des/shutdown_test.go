@@ -77,24 +77,49 @@ func TestShutdownUnwindsParkedProcesses(t *testing.T) {
 }
 
 // TestShutdownLetsTheEnvBeCollected: after Shutdown nothing keeps the Env
-// reachable, not even a cycle through its own pending events, which would
-// stop its finalizer from ever running.
+// reachable, not even a cycle through its own pending events or through
+// the last process a hand-off named, either of which would stop its
+// finalizer from ever running.
 func TestShutdownLetsTheEnvBeCollected(t *testing.T) {
+	t.Run("pending events", func(t *testing.T) {
+		checkCollected(t, func(e *Env) {
+			f := NewFIFO[int](e, "q", 1)
+			for i := 0; i < 3; i++ {
+				e.SpawnDaemon("consumer", func(p *Proc) {
+					for {
+						f.Get(p)
+					}
+				})
+			}
+			// A pending event whose callback refers back to the Env.
+			e.After(time.Hour, func() { f.TryPut(int(e.Now())) })
+		})
+	})
+	t.Run("last event a hand-off", func(t *testing.T) {
+		checkCollected(t, func(e *Env) {
+			q := NewWaitQueue(e)
+			e.Spawn("waiter", func(p *Proc) { q.Wait(p) })
+			// The waker's Park pops the waiter's wake: a hand-off from
+			// one process to another, and the run's last event.
+			e.SpawnDaemon("waker", func(p *Proc) {
+				p.Sleep(time.Millisecond)
+				q.WakeOne()
+				p.Park()
+			})
+		})
+	})
+}
+
+// checkCollected builds a simulation on a fresh Env, runs it, shuts it
+// down, and checks the Env's finalizer runs.
+func checkCollected(t *testing.T, build func(e *Env)) {
+	t.Helper()
 	before := runtime.NumGoroutine()
 	collected := make(chan struct{})
 	func() {
 		e := NewEnv()
 		runtime.SetFinalizer(e, func(*Env) { close(collected) })
-		f := NewFIFO[int](e, "q", 1)
-		for i := 0; i < 3; i++ {
-			e.SpawnDaemon("consumer", func(p *Proc) {
-				for {
-					f.Get(p)
-				}
-			})
-		}
-		// A pending event whose callback refers back to the Env.
-		e.After(time.Hour, func() { f.TryPut(int(e.Now())) })
+		build(e)
 		if err := e.RunUntil(Time(time.Second)); err != nil {
 			t.Fatal(err)
 		}

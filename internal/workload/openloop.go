@@ -720,7 +720,7 @@ func runOpenLoop(env *des.Env, cfg OpenLoopConfig) (*OpenLoopResult, error) {
 		return nil, err
 	}
 	if accounted != res.Offered {
-		return nil, fmt.Errorf("workload: open-loop drain incomplete: %d of %d ops accounted", accounted, res.Offered)
+		return nil, fmt.Errorf("workload: open-loop drain incomplete: %d of %d ops accounted; stalled: %v", accounted, res.Offered, env.Stalled())
 	}
 
 	res.Report = rec.Report(cfg.Window)
