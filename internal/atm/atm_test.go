@@ -369,3 +369,81 @@ func TestReassemblerDiscardsPartialOnError(t *testing.T) {
 		}
 	}
 }
+
+// TestSwitchCountsUnroutableCells: a cell whose destination has no port is
+// counted and discarded, whether the destination lies past the last
+// attached port or in a gap between ports, and traffic to attached ports
+// still arrives.
+func TestSwitchCountsUnroutableCells(t *testing.T) {
+	env := des.NewEnv()
+	p := &model.Default
+	sw := NewSwitch(env, p)
+	nics := map[int]*Interface{}
+	for _, n := range []int{0, 2, 3} { // node 1 is a gap
+		nics[n] = NewInterface(env, p, n)
+		sw.Attach(nics[n])
+	}
+	env.Spawn("sender", func(pr *des.Proc) {
+		for _, dst := range []int{1, 4, 255, 3} { // a gap, just past the end, far past it, a port
+			nics[0].TX.Put(pr, Cell{VCI: MakeVCI(dst, 0), Last: true})
+		}
+	})
+	if err := env.RunUntil(des.Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if sw.CellsUnroutable != 3 {
+		t.Fatalf("CellsUnroutable = %d, want 3", sw.CellsUnroutable)
+	}
+	if n := nics[3].RX.Len(); n != 1 {
+		t.Fatalf("node 3 holds %d cells, want 1", n)
+	}
+	if n := nics[2].RX.Len(); n != 0 {
+		t.Fatalf("node 2 holds %d cells addressed elsewhere", n)
+	}
+}
+
+// TestReassemblerPendingCountsOpenCircuits: Pending stays exact while
+// frames are open on circuits across the table, including the highest
+// source byte and destinations other than zero.
+func TestReassemblerPendingCountsOpenCircuits(t *testing.T) {
+	r := NewReassembler()
+	frame := bytes.Repeat([]byte{9}, 3*PayloadSize)
+	vcis := []VCI{MakeVCI(1, 255), MakeVCI(200, 255), MakeVCI(1, 0), MakeVCI(255, 255)}
+	cells := make([][]Cell, len(vcis))
+	for i, v := range vcis {
+		cells[i] = Segment(v, frame)
+		if _, done, _ := r.Add(cells[i][0]); done {
+			t.Fatalf("VCI %#x: frame completed on its first cell", uint16(v))
+		}
+		if got := r.Pending(); got != i+1 {
+			t.Fatalf("after opening %d circuits Pending() = %d", i+1, got)
+		}
+	}
+	// A second cell on an open circuit opens nothing.
+	r.Add(cells[1][1])
+	if got := r.Pending(); got != len(vcis) {
+		t.Fatalf("Pending() = %d after a middle cell, want %d", got, len(vcis))
+	}
+	for i := range vcis {
+		var got []byte
+		fed := 1
+		if i == 1 {
+			fed = 2
+		}
+		for _, c := range cells[i][fed:] {
+			f, done, err := r.Add(c)
+			if done {
+				if err != nil {
+					t.Fatalf("VCI %#x: %v", uint16(vcis[i]), err)
+				}
+				got = f
+			}
+		}
+		if !bytes.Equal(got, frame) {
+			t.Fatalf("VCI %#x: frame corrupted", uint16(vcis[i]))
+		}
+		if want := len(vcis) - i - 1; r.Pending() != want {
+			t.Fatalf("after closing %d circuits Pending() = %d, want %d", i+1, r.Pending(), want)
+		}
+	}
+}

@@ -117,13 +117,32 @@ func CellsForFrame(n int) int {
 // Completed frame buffers can be handed back with Recycle once the consumer
 // is done with them, so steady-state reassembly does not allocate.
 type Reassembler struct {
-	partial map[VCI][]byte
+	// partial[dst][src] is the frame so far on circuit src→dst, nil when
+	// none is open. A cell finds its circuit by two indexes, with no
+	// hashing; rows grow to the highest node seen, on first use.
+	partial [][][]byte
+	pending int // open circuits
 	spare   [][]byte
 }
 
 // NewReassembler returns an empty reassembler.
 func NewReassembler() *Reassembler {
-	return &Reassembler{partial: make(map[VCI][]byte)}
+	return &Reassembler{}
+}
+
+// open returns circuit v's entry in the partial-frame table, growing the
+// table to hold it.
+func (r *Reassembler) open(v VCI) *[]byte {
+	d, s := v.Dst(), v.Src()
+	if n := d + 1; n > len(r.partial) {
+		r.partial = append(r.partial, make([][][]byte, n-len(r.partial))...)
+	}
+	row := r.partial[d]
+	if n := s + 1; n > len(row) {
+		row = append(row, make([][]byte, n-len(row))...)
+		r.partial[d] = row
+	}
+	return &row[s]
 }
 
 // buffer takes a recycled frame buffer, or starts an empty one.
@@ -151,16 +170,19 @@ func (r *Reassembler) Recycle(frame []byte) {
 // length violation returns an error and discards the partial frame —
 // upper layers treat this as the catastrophic event the paper says it is.
 func (r *Reassembler) Add(c Cell) (frame []byte, done bool, err error) {
-	buf, started := r.partial[c.VCI]
-	if !started {
+	slot := r.open(c.VCI)
+	buf := *slot // an open circuit holds at least one cell's bytes
+	if buf == nil {
 		buf = r.buffer()
+		r.pending++
 	}
 	buf = append(buf, c.Payload[:]...)
 	if !c.Last {
-		r.partial[c.VCI] = buf
+		*slot = buf
 		return nil, false, nil
 	}
-	delete(r.partial, c.VCI)
+	*slot = nil
+	r.pending--
 	if len(buf) < trailerSize {
 		r.Recycle(buf)
 		return nil, true, fmt.Errorf("atm: runt frame on VCI %d", c.VCI)
@@ -180,4 +202,4 @@ func (r *Reassembler) Add(c Cell) (frame []byte, done bool, err error) {
 }
 
 // Pending reports how many circuits have partially reassembled frames.
-func (r *Reassembler) Pending() int { return len(r.partial) }
+func (r *Reassembler) Pending() int { return r.pending }

@@ -256,7 +256,7 @@ func DirectLinkEngine(env *des.Env, p *model.Params, a, b *Interface, eng *fault
 type Switch struct {
 	env   *des.Env
 	p     *model.Params
-	ports map[int]*swPort
+	ports []*swPort // by node id; nil where no interface is attached
 	eng   *faults.Engine
 
 	// CellsUnroutable counts cells that arrived for a VCI with no attached
@@ -274,7 +274,7 @@ type swPort struct {
 
 // NewSwitch creates an empty switch.
 func NewSwitch(env *des.Env, p *model.Params) *Switch {
-	return &Switch{env: env, p: p, ports: make(map[int]*swPort)}
+	return &Switch{env: env, p: p}
 }
 
 // SetEngine attaches a fault-campaign engine. Call before Attach; the
@@ -289,6 +289,9 @@ func (s *Switch) Attach(nic *Interface) {
 		nic: nic,
 		out: des.NewFIFO[Cell](s.env, fmt.Sprintf("sw.out%d", nic.Node), s.p.RxFIFOCells),
 	}
+	if n := nic.Node + 1; n > len(s.ports) {
+		s.ports = append(s.ports, make([]*swPort, n-len(s.ports))...)
+	}
 	s.ports[nic.Node] = port
 
 	// Input side: host→switch link (serialization) plus VCI routing.
@@ -296,15 +299,14 @@ func (s *Switch) Attach(nic *Interface) {
 	in := newCellPump(s.env, inName, nic.TX,
 		s.p.CellWireTime()+s.p.PropagationDelay+s.p.SwitchLatency, s.eng,
 		func(c Cell) *des.FIFO[Cell] {
-			dst, ok := s.ports[c.VCI.Dst()]
-			if !ok {
-				s.CellsUnroutable++
-				if tr := s.env.Tracer(); tr != nil {
-					tr.Count("atm.sw.unroutable", 1)
-				}
-				return nil
+			if d := c.VCI.Dst(); d < len(s.ports) && s.ports[d] != nil {
+				return s.ports[d].out
 			}
-			return dst.out
+			s.CellsUnroutable++
+			if tr := s.env.Tracer(); tr != nil {
+				tr.Count("atm.sw.unroutable", 1)
+			}
+			return nil
 		})
 	in.carried = func() {}
 	in.droppedFn = func() {}

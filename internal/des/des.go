@@ -35,12 +35,20 @@
 // t.Fatal does) stays parked for good instead, so the Goexit does not
 // unwind Run's caller.
 //
+// The instant is a list. About a third of all schedules are for the
+// current instant (wakes, grants, a callback's successor), so the queue
+// keeps those on a FIFO, the ready set, and only later events in a 4-ary
+// heap whose slots hold each (time, sequence) key inline. When the clock
+// advances to T, the heap's records at T move onto the list, so the list
+// is always every event due now, in firing order.
+//
 // Only live events stay in the queue. Most timers are disarmed long before
 // they are due (every non-blocking remote read arms one), so a cancel
 // handle counts the dead records it leaves behind, and once they outnumber
-// the live ones the queue drops them and re-heapifies in place. Since
-// (time, sequence) is a total order, any heap of the same live records
-// pops them in the same order.
+// the live ones the queue drops them from both parts and re-heapifies the
+// heap in place. A dead record at the heap's head is dropped without
+// moving the clock. Since (time, sequence) is a total order, any layout of
+// the same live records fires them in the same order.
 //
 // A hand-off still costs two coroutine switches, a few hundred nanoseconds
 // of host time against tens of nanoseconds for a callback, so the
@@ -67,7 +75,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -94,10 +101,9 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // context or the resumption of a blocked process (proc). Records are pooled
 // on the Env; gen disarms stale cancel handles after a record is recycled.
 // Cancelling marks the record dead in O(1); a dead record is skipped when
-// popped, or dropped earlier when Env.compact sweeps the queue.
+// popped, or dropped earlier when Env.compact sweeps the queue. A record's
+// (time, sequence) key lives in its queue slot, not here.
 type event struct {
-	at        Time
-	seq       uint64 // tie-breaker: schedule order
 	gen       uint64 // bumped on recycle; cancel handles check it
 	fn        func()
 	proc      *Proc
@@ -106,58 +112,59 @@ type event struct {
 	cancelled bool
 }
 
-// before reports whether ev fires ahead of o: earlier time first, schedule
+// slot is a heap entry: a record with its firing time and its sequence
+// number (schedule order, the tie-breaker) held inline, so a sift compares
+// keys without loading the records.
+type slot struct {
+	at  Time
+	seq uint64
+	ev  *event
+}
+
+// before reports whether s fires ahead of o: earlier time first, schedule
 // order breaking ties.
-func (ev *event) before(o *event) bool {
-	if ev.at != o.at {
-		return ev.at < o.at
-	}
-	return ev.seq < o.seq
+func (s slot) before(o slot) bool {
+	return s.at < o.at || s.at == o.at && s.seq < o.seq
 }
 
-// eventQueue is a 4-ary min-heap of pooled event records. Events are never
-// removed from the middle (dead records leave in bulk, by compact), so no
-// per-element index bookkeeping is needed, and the shallow 4-ary layout
-// roughly halves the levels touched per sift compared to a binary heap.
-type eventQueue struct {
-	a []*event
-}
+// eventHeap is a 4-ary min-heap of slots. Records are never removed from
+// the middle (dead records leave in bulk, by compact), so no per-element
+// index bookkeeping is needed, and the shallow 4-ary layout roughly halves
+// the levels touched per sift compared to a binary heap.
+type eventHeap []slot
 
-func (q *eventQueue) len() int { return len(q.a) }
-
-func (q *eventQueue) push(ev *event) {
-	a := append(q.a, ev)
+func (h *eventHeap) push(s slot) {
+	a := append(*h, s)
 	i := len(a) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !ev.before(a[parent]) {
+		if !s.before(a[parent]) {
 			break
 		}
 		a[i] = a[parent]
 		i = parent
 	}
-	a[i] = ev
-	q.a = a
+	a[i] = s
+	*h = a
 }
 
-func (q *eventQueue) pop() *event {
-	a := q.a
+func (h *eventHeap) pop() slot {
+	a := *h
 	n := len(a) - 1
 	top := a[0]
 	last := a[n]
-	a[n] = nil
-	q.a = a[:n]
+	a[n] = slot{}
+	*h = a[:n]
 	if n > 0 {
-		q.siftDown(0, last)
+		h.siftDown(0, last)
 	}
 	return top
 }
 
-// siftDown places ev, which belongs at index i or below, at its heap
+// siftDown places s, which belongs at index i or below, at its heap
 // position in the subtree rooted at i.
-func (q *eventQueue) siftDown(i int, ev *event) {
-	a := q.a
-	n := len(a)
+func (h eventHeap) siftDown(i int, s slot) {
+	n := len(h)
 	for {
 		c := i<<2 + 1
 		if c >= n {
@@ -169,17 +176,45 @@ func (q *eventQueue) siftDown(i int, ev *event) {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if a[j].before(a[min]) {
+			if h[j].before(h[min]) {
 				min = j
 			}
 		}
-		if !a[min].before(ev) {
+		if !h[min].before(s) {
 			break
 		}
-		a[i] = a[min]
+		h[i] = h[min]
 		i = min
 	}
-	a[i] = ev
+	h[i] = s
+}
+
+// eventQueue holds the pending records in two parts. ready is the ready
+// set of the current instant: every pending record due now, in schedule
+// order, consumed from head. heap holds the records due later. A record
+// scheduled for now appends to ready; when the clock advances to T, the
+// heap's records at T move onto the emptied list in their (time, seq)
+// order, and records scheduled at T later append behind them. Every ready
+// record therefore precedes every heap record, and popping the list head
+// first, the heap head once the list is empty, fires records in exactly
+// (time, seq) order.
+type eventQueue struct {
+	ready []*event
+	head  int
+	heap  eventHeap
+}
+
+// len counts the pending records, dead ones included.
+func (q *eventQueue) len() int { return len(q.ready) - q.head + len(q.heap) }
+
+// advance starts the instant t, the time of a live record just popped from
+// the heap: the emptied ready list takes the rest of the heap's records at
+// t.
+func (q *eventQueue) advance(t Time) {
+	q.ready, q.head = q.ready[:0], 0
+	for len(q.heap) > 0 && q.heap[0].at == t {
+		q.ready = append(q.ready, q.heap.pop().ev)
+	}
 }
 
 // Env is a simulation environment: the event queue, the clock, and the
@@ -302,16 +337,16 @@ func (e *Env) recycle(ev *event) {
 }
 
 // schedule enqueues a pooled record at the given time (clamped to now),
-// stamped with the next sequence number. The caller fills in fn or proc.
+// stamped with the next sequence number: onto the ready list when it is
+// due now, into the heap otherwise. The caller fills in fn or proc.
 func (e *Env) schedule(at Time) *event {
-	if at < e.now {
-		at = e.now
-	}
 	ev := e.alloc()
-	ev.at = at
-	ev.seq = e.seq
+	if at <= e.now {
+		e.queue.ready = append(e.queue.ready, ev)
+	} else {
+		e.queue.heap.push(slot{at, e.seq, ev})
+	}
 	e.seq++
-	e.queue.push(ev)
 	return ev
 }
 
@@ -356,39 +391,64 @@ func (e *Env) Schedule(at Time, fn func()) (cancel func()) {
 const compactFloor = 32
 
 // compact drops the queue's dead records, recycling them, and re-heapifies
-// the rest in place. The latest dead record stays: RunUntil stops at a
-// dead head later than its deadline, and that record stands in for every
-// dropped one, so a queue left holding only dead records past the deadline
-// still ends the run without a deadlock report.
+// the heap in place; the ready list keeps its order. The latest dead record
+// stays: RunUntil stops at a dead head later than its deadline, and that
+// record stands in for every dropped one, so a queue left holding only dead
+// records past the deadline still ends the run without a deadlock report.
+// Every heap record follows every ready record, so the latest dead record
+// is the heap's latest if the heap holds one, else the list's last.
 func (e *Env) compact() {
-	a := e.queue.a
-	var last *event
+	q := &e.queue
+	h := q.heap
+	var last slot // last.ev == nil: no dead record in the heap
 	n := 0
-	for _, ev := range a {
+	for _, s := range h {
 		switch {
-		case !ev.cancelled:
-			a[n] = ev
+		case !s.ev.cancelled:
+			h[n] = s
 			n++
-		case last == nil:
-			last = ev
-		case last.before(ev):
-			e.recycle(last)
-			last = ev
+		case last.ev == nil:
+			last = s
+		case last.before(s):
+			e.recycle(last.ev)
+			last = s
 		default:
-			e.recycle(ev)
+			e.recycle(s.ev)
+		}
+	}
+	if last.ev != nil {
+		h[n] = last
+		n++
+	}
+	clear(h[n:])
+	h = h[:n]
+	for i := (n - 2) >> 2; i >= 0; i-- {
+		h.siftDown(i, h[i])
+	}
+	q.heap = h
+
+	r := q.ready
+	keep := -1 // the list's last dead record, kept when the heap held none
+	for i := len(r) - 1; last.ev == nil && keep < 0 && i >= q.head; i-- {
+		if r[i].cancelled {
+			keep = i
 		}
 	}
 	e.dead = 0
-	if last != nil {
-		a[n] = last
-		n++
+	if last.ev != nil || keep >= 0 {
 		e.dead = 1
 	}
-	clear(a[n:])
-	e.queue.a = a[:n]
-	for i := (n - 2) >> 2; i >= 0; i-- {
-		e.queue.siftDown(i, a[i])
+	m := 0
+	for i := q.head; i < len(r); i++ {
+		if ev := r[i]; !ev.cancelled || i == keep {
+			r[m] = ev
+			m++
+		} else {
+			e.recycle(ev)
+		}
 	}
+	clear(r[m:])
+	q.ready, q.head = r[:m], 0
 }
 
 // After schedules fn to run d from now. See Schedule.
@@ -621,27 +681,7 @@ func (e *Env) Shutdown() {
 	for len(e.procs) > 0 {
 		e.procs[len(e.procs)-1].next()
 	}
-	e.queue.a, e.pool, e.dead = nil, nil, 0
-}
-
-// Stalled names the unfinished non-daemon processes that no pending event
-// will resume: after a run drains, these are the ones parked on a
-// condition nobody is left to signal.
-func (e *Env) Stalled() []string {
-	pending := make(map[*Proc]bool)
-	for _, ev := range e.queue.a {
-		if ev.proc != nil {
-			pending[ev.proc] = true
-		}
-	}
-	var names []string
-	for _, p := range e.procs {
-		if !p.daemon && !pending[p] {
-			names = append(names, p.name)
-		}
-	}
-	sort.Strings(names)
-	return names
+	e.queue, e.pool, e.dead = eventQueue{}, nil, 0
 }
 
 // loop is the event loop, driven by a blocked process (self) or by Run's
@@ -653,38 +693,49 @@ func (e *Env) Stalled() []string {
 // every coroutine switch orders memory on both sides.
 func (e *Env) loop(self *Proc) *Proc {
 	e.inProc = false // whoever enters the loop left process context
+	q := &e.queue
 	for {
 		if e.halted {
 			return nil
 		}
-		if e.queue.len() == 0 {
-			if e.nprocs > 0 {
-				e.runErr = fmt.Errorf("des: deadlock: %d process(es) blocked with no pending events", e.nprocs)
+		var ev *event
+		if q.head < len(q.ready) {
+			if e.now > e.deadline {
+				return nil
 			}
-			return nil
+			ev = q.ready[q.head]
+			q.head++
+		} else {
+			if len(q.heap) == 0 {
+				if e.nprocs > 0 {
+					e.runErr = fmt.Errorf("des: deadlock: %d process(es) blocked with no pending events", e.nprocs)
+				}
+				return nil
+			}
+			if q.heap[0].at > e.deadline {
+				return nil
+			}
+			s := q.heap.pop()
+			ev = s.ev
+			// Only a live record moves the clock: a dead one at T must not
+			// leave Now() at T when nothing fires there.
+			if !ev.cancelled {
+				e.now = s.at
+				q.advance(s.at)
+			}
 		}
-		if e.queue.a[0].at > e.deadline {
-			return nil
-		}
-		ev := e.queue.pop()
 		if ev.cancelled {
 			e.dead--
 			e.recycle(ev)
 			continue
 		}
-		if ev.at < e.now {
-			panic("des: time went backwards")
-		}
-		e.now = ev.at
 		e.executed++
 		if p := ev.proc; p != nil {
 			if ev.idle != nil && !p.finished && ev.idle() {
 				// An idle SleepWhile tick: re-arm the record in place with
 				// the sequence number the process's next Sleep would take.
-				ev.at = e.now.Add(ev.every)
-				ev.seq = e.seq
+				q.heap.push(slot{e.now.Add(ev.every), e.seq, ev})
 				e.seq++
-				e.queue.push(ev)
 				continue
 			}
 			e.recycle(ev)

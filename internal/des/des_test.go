@@ -407,28 +407,6 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-// TestStalledNamesProcessesNoEventWillResume: after a run stops, a waiter
-// parked with nobody left to wake it is stalled; a sleeper with its wake
-// pending is not, and neither is a daemon parked the same way.
-func TestStalledNamesProcessesNoEventWillResume(t *testing.T) {
-	e := NewEnv()
-	q := NewWaitQueue(e)
-	e.Spawn("waiter", func(p *Proc) { q.Wait(p) })
-	e.Spawn("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
-	e.SpawnDaemon("daemon", func(p *Proc) { q.Wait(p) })
-	e.Spawn("done", func(p *Proc) { p.Sleep(us) })
-	if got := e.Stalled(); len(got) != 0 {
-		t.Fatalf("Stalled() = %v before the run, want none: every process has its start pending", got)
-	}
-	if err := e.RunUntil(Time(time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Stalled(); len(got) != 1 || got[0] != "waiter" {
-		t.Fatalf("Stalled() = %v, want [waiter]", got)
-	}
-	e.Shutdown()
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() []string {
 		e := NewEnv()

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -179,7 +180,11 @@ func (k *refKernel) RunUntil(deadline Time) error {
 // scenario drives k with a random mix seeded by seed and returns what it
 // observed. Handles are kept and cancelled at random, often long after
 // their event fired or after an earlier cancel; bursts of 1 s timers are
-// cancelled wholesale, which is what makes the real queue compact.
+// cancelled wholesale, which is what makes the real queue compact. Bursts
+// at the current instant, from callbacks, processes and between runs, land
+// on the real queue's ready list ahead of and behind heap records at the
+// same time, and are cancelled there too; some RunUntil deadlines lie below
+// Now(), so a run stops with records due at the current instant pending.
 func scenario(k kernel, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
 	var log []string
@@ -191,7 +196,7 @@ func scenario(k kernel, seed int64) []string {
 	act = func() {
 		tag := tags
 		tags++
-		switch r := rng.Intn(20); {
+		switch r := rng.Intn(24); {
 		case r < 7:
 			at := k.Now().Add(Duration(rng.Intn(1500)) * time.Millisecond)
 			handles = append(handles, k.Schedule(at, func() {
@@ -219,6 +224,26 @@ func scenario(k kernel, seed int64) []string {
 			for _, c := range handles[len(handles)-rng.Intn(n+1):] {
 				c()
 			}
+		case r < 20:
+			n := 1 + rng.Intn(40)
+			for i := 0; i < n; i++ {
+				handles = append(handles, k.Schedule(k.Now(), func() {
+					note(tag)
+					if rng.Intn(4) == 0 {
+						act()
+					}
+				}))
+			}
+			for _, c := range handles[len(handles)-rng.Intn(n+1):] {
+				c()
+			}
+		case r < 22:
+			k.ScheduleFunc(k.Now(), func() {
+				note(tag)
+				if rng.Intn(3) == 0 {
+					act()
+				}
+			})
 		default:
 			if procs >= 12 {
 				return
@@ -230,13 +255,13 @@ func scenario(k kernel, seed int64) []string {
 				for i := rng.Intn(3); i > 0; i-- {
 					act()
 				}
-				d := Duration(1+rng.Intn(20)) * time.Millisecond
+				d := Duration(rng.Intn(21)) * time.Millisecond
 				switch left--; {
 				case left < 0 && rng.Intn(4) == 0:
 					return step{park: true}
 				case left < 0:
 					return step{final: true}
-				case rng.Intn(4) == 0:
+				case d > 0 && rng.Intn(4) == 0:
 					quiet := rng.Intn(5)
 					return step{d: d, idle: func() bool { quiet--; return quiet >= 0 }}
 				}
@@ -249,6 +274,9 @@ func scenario(k kernel, seed int64) []string {
 			act()
 		}
 		deadline := k.Now().Add(Duration(rng.Intn(200)-20) * time.Millisecond)
+		if rng.Intn(4) == 0 {
+			deadline = k.Now() - Time(1+rng.Intn(1000))
+		}
 		err := k.RunUntil(deadline)
 		log = append(log, fmt.Sprintf("RunUntil(%v) = %v at %v, %d events", deadline, err, k.Now(), k.Events()))
 	}
@@ -275,6 +303,124 @@ func TestCompactingQueueMatchesLazyHeap(t *testing.T) {
 	}
 	if compactions == 0 {
 		t.Fatal("no scenario compacted the queue")
+	}
+}
+
+// FuzzQueueMatchesLazyHeap runs the scenario for any seed against the
+// reference lazy heap.
+func FuzzQueueMatchesLazyHeap(f *testing.F) {
+	for seed := int64(41); seed <= 48; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		ref := scenario(&refKernel{}, seed)
+		e := NewEnv()
+		got := scenario(envKernel{e, new(int)}, seed)
+		e.Shutdown()
+		for i := range ref {
+			if i >= len(got) || got[i] != ref[i] {
+				t.Fatalf("seed %d, entry %d: queue %q, lazy heap %q", seed, i, got[min(i, len(got)-1)], ref[i])
+			}
+		}
+		if len(got) != len(ref) {
+			t.Fatalf("seed %d: queue logged %d entries, lazy heap %d", seed, len(got), len(ref))
+		}
+	})
+}
+
+// TestDeadHeadLeavesClockAtLastLiveEvent: a cancelled record at the head
+// of the heap is dropped without moving the clock, so RunUntil leaves
+// Now() at the last live event, and a record scheduled for that instant
+// afterwards still fires there. A dead record ahead of a live one at the
+// same time does not keep the live one from firing at its time.
+func TestDeadHeadLeavesClockAtLastLiveEvent(t *testing.T) {
+	ms := Time(time.Millisecond)
+	for _, k := range []kernel{&refKernel{}, envKernel{NewEnv(), new(int)}} {
+		var log []string
+		note := func(s string) func() { return func() { log = append(log, fmt.Sprintf("%s@%v", s, k.Now())) } }
+		k.Schedule(1*ms, note("a"))
+		k.Schedule(5*ms, note("dead"))()
+		k.Schedule(7*ms, note("dead"))()
+		k.Schedule(7*ms, note("b"))
+		if err := k.RunUntil(6 * ms); err != nil {
+			t.Fatal(err)
+		}
+		if k.Now() != 1*ms || k.Events() != 1 {
+			t.Fatalf("%T: RunUntil(6ms) left Now() = %v after %d events, want 1ms after 1", k, k.Now(), k.Events())
+		}
+		k.ScheduleFunc(k.Now(), note("c"))
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"a@1ms", "c@1ms", "b@7ms"}; !reflect.DeepEqual(log, want) {
+			t.Fatalf("%T: fired %v, want %v", k, log, want)
+		}
+		if ek, ok := k.(envKernel); ok {
+			ek.Shutdown()
+		}
+	}
+}
+
+// TestCompactSweepsReadyList: cancels at the current instant compact the
+// ready list as well as the heap, and the list keeps its order. The one
+// dead record compaction keeps is the heap's latest when the heap holds a
+// dead record, and the list's last otherwise. When it is all that is left,
+// with a process parked for good, a RunUntil whose deadline lies below
+// Now() still stops cleanly, and Run reports the deadlock.
+func TestCompactSweepsReadyList(t *testing.T) {
+	for _, c := range []struct {
+		heapDead bool
+		live     []int // records at the instant left uncancelled
+	}{
+		{false, []int{3, 20}},
+		{true, []int{3, 20}},
+		{false, nil},
+	} {
+		e := NewEnv()
+		e.Spawn("parked", func(p *Proc) { p.Park() })
+		e.RunUntil(0) // the process parks; the drained queue reports it
+		var fired []int
+		var cancels []func()
+		if c.heapDead {
+			cancels = append(cancels, e.Schedule(Time(time.Second), func() { t.Fatal("cancelled event fired") }))
+		}
+		// compactFloor+1 cancels, the last of which compacts.
+		n := compactFloor + 1 + len(c.live) - len(cancels)
+		first := len(cancels)
+		for i := 0; i < n; i++ {
+			i := i
+			cancels = append(cancels, e.Schedule(0, func() { fired = append(fired, i) }))
+		}
+		compactions := 0
+		for i, cancel := range cancels {
+			if slices.Contains(c.live, i-first) {
+				continue
+			}
+			dead := e.dead
+			cancel()
+			if e.dead < dead {
+				compactions++
+			}
+		}
+		// The live records and one dead, on the list unless the heap held one.
+		ready, wantReady := len(e.queue.ready)-e.queue.head, len(c.live)+1
+		if c.heapDead {
+			wantReady--
+		}
+		if compactions != 1 || e.queue.len() != len(c.live)+1 || ready != wantReady {
+			t.Fatalf("%+v: %d compactions leave %d records, %d of them ready; want 1 leaving %d, %d ready",
+				c, compactions, e.queue.len(), ready, len(c.live)+1, wantReady)
+		}
+		if err := e.RunUntil(e.Now() - 1); err != nil || len(fired) != 0 {
+			t.Fatalf("%+v: RunUntil below Now() = %v, fired %v", c, err, fired)
+		}
+		if err := e.Run(); err == nil {
+			t.Fatalf("%+v: Run with a parked process returned nil", c)
+		}
+		if !slices.Equal(fired, c.live) {
+			t.Fatalf("%+v: fired %v", c, fired)
+		}
+		e.Shutdown()
 	}
 }
 

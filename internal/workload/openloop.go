@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"time"
 
 	"netmem/internal/cluster"
@@ -676,6 +677,15 @@ func runOpenLoop(env *des.Env, cfg OpenLoopConfig) (*OpenLoopResult, error) {
 		}
 	}
 	env.ScheduleFunc(env.Now(), dispatch)
+	// serving[i] is the op lane i is inside, named by the drain error: an
+	// op that outlives the horizon is slow, not lost, while each layer
+	// below the lane waits on a timeout of its own.
+	type laneOp struct {
+		act  Activity
+		sent des.Time // scheduled arrival
+		busy bool
+	}
+	serving := make([]laneOp, cfg.Lanes)
 	for i := 0; i < cfg.Lanes; i++ {
 		i := i
 		env.Spawn(fmt.Sprintf("openloop.lane%d", i), func(p *des.Proc) {
@@ -698,6 +708,7 @@ func runOpenLoop(env *des.Env, cfg OpenLoopConfig) (*OpenLoopResult, error) {
 					qhead = 0
 				}
 				sched := start.Add(a.At)
+				serving[i] = laneOp{a.Op.Activity, sched, true}
 				qwait.ObserveDuration(time.Duration(p.Now().Sub(sched)))
 				if a.Straggler {
 					res.Stragglers++
@@ -707,6 +718,7 @@ func runOpenLoop(env *des.Env, cfg OpenLoopConfig) (*OpenLoopResult, error) {
 				// Latency runs from the *scheduled* arrival: queueing and
 				// straggler holds count, exactly what a closed loop hides.
 				rec.Record(a.Tenant, time.Duration(p.Now().Sub(sched)), err)
+				serving[i].busy = false
 				accounted++
 			}
 		})
@@ -720,7 +732,14 @@ func runOpenLoop(env *des.Env, cfg OpenLoopConfig) (*OpenLoopResult, error) {
 		return nil, err
 	}
 	if accounted != res.Offered {
-		return nil, fmt.Errorf("workload: open-loop drain incomplete: %d of %d ops accounted; stalled: %v", accounted, res.Offered, env.Stalled())
+		var inside []string
+		for i, op := range serving {
+			if op.busy {
+				inside = append(inside, fmt.Sprintf("openloop.lane%d in %v for %v", i, op.act, env.Now().Sub(op.sent)))
+			}
+		}
+		return nil, fmt.Errorf("workload: open-loop drain incomplete: %d of %d ops accounted, %d queued; in flight: [%s]",
+			accounted, res.Offered, qlen(), strings.Join(inside, ", "))
 	}
 
 	res.Report = rec.Report(cfg.Window)
