@@ -155,6 +155,7 @@ type Client struct {
 	repSeg  *rmem.Segment
 	slotCap int
 	seq     uint32
+	msg     []byte // request frame buffer, reused by every Post
 }
 
 // ErrReplyTooBig reports a reply that exceeded the client's reply segment.
@@ -191,26 +192,50 @@ func (c *Client) SetFence(v bool, epoch uint16) {
 
 // Call performs one Hybrid-1 exchange: write-with-notify the request into
 // our slot on the server, spin wait for the reply write to land, return
-// the reply body.
+// the reply body. A zero timeout waits without bound.
 func (c *Client) Call(p *des.Proc, req []byte, timeout des.Duration) ([]byte, error) {
-	if len(req) > c.slotCap {
-		return nil, rmem.ErrTooBig
-	}
-	n := c.m.Node
-	c.seq++
-	flagArea := c.repSeg.Bytes()
-	binary.BigEndian.PutUint32(flagArea, 0) // clear completion flag
-
-	msg := make([]byte, slotHeader+len(req))
-	binary.BigEndian.PutUint32(msg, c.seq)
-	binary.BigEndian.PutUint32(msg[4:], uint32(len(req)))
-	copy(msg[slotHeader:], req)
-	off := c.m.Node.ID * (slotHeader + c.slotCap)
-	if err := c.req.WriteBlock(p, off, msg, true); err != nil {
+	if err := c.Post(p, req); err != nil {
 		return nil, err
 	}
+	var deadline des.Time
+	if timeout > 0 {
+		deadline = p.Now().Add(timeout)
+	}
+	rep, err := c.Await(p, deadline)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), rep...), nil
+}
 
-	deadline := p.Now().Add(timeout)
+// Post issues the request half of an exchange — the write-with-notify
+// into our slot on the server — and returns without waiting for the
+// reply, so a process can have requests outstanding to several servers at
+// once (one per Client) and collect the replies with Await. A Post
+// supersedes any exchange on this Client still awaiting its reply.
+func (c *Client) Post(p *des.Proc, req []byte) error {
+	if len(req) > c.slotCap {
+		return rmem.ErrTooBig
+	}
+	c.seq++
+	binary.BigEndian.PutUint32(c.repSeg.Bytes(), 0) // clear completion flag
+
+	// WriteBlock encodes msg into frames and is done with it when it
+	// returns, so one buffer serves every request.
+	c.msg = binary.BigEndian.AppendUint32(c.msg[:0], c.seq)
+	c.msg = binary.BigEndian.AppendUint32(c.msg, uint32(len(req)))
+	c.msg = append(c.msg, req...)
+	off := c.m.Node.ID * (slotHeader + c.slotCap)
+	return c.req.WriteBlock(p, off, c.msg, true)
+}
+
+// Await spin waits for the reply to the last Post and returns its body,
+// or rmem.ErrTimeout once the virtual clock passes deadline (zero waits
+// without bound). The body aliases the reply segment: it is valid until
+// the next Post.
+func (c *Client) Await(p *des.Proc, deadline des.Time) ([]byte, error) {
+	n := c.m.Node
+	flagArea := c.repSeg.Bytes()
 	// User-level spin wait on the completion word (§4.3), backing off so
 	// a long reply transfer is not slowed by poll cycles stealing the CPU
 	// from the kernel's deposit path.
@@ -220,7 +245,7 @@ func (c *Client) Call(p *des.Proc, req []byte, timeout des.Duration) ([]byte, er
 		if binary.BigEndian.Uint32(flagArea) == c.seq {
 			break
 		}
-		if timeout > 0 && p.Now() > deadline {
+		if deadline > 0 && p.Now() > deadline {
 			return nil, rmem.ErrTimeout
 		}
 		p.Sleep(interval)
@@ -232,5 +257,5 @@ func (c *Client) Call(p *des.Proc, req []byte, timeout des.Duration) ([]byte, er
 	if rn < 0 || slotHeader+rn > c.repSeg.Size() {
 		return nil, ErrReplyTooBig
 	}
-	return append([]byte(nil), flagArea[slotHeader:slotHeader+rn]...), nil
+	return flagArea[slotHeader : slotHeader+rn], nil
 }

@@ -234,3 +234,63 @@ func TestReliableReplyNotTorn(t *testing.T) {
 		t.Fatalf("completed %d/5 calls", calls)
 	}
 }
+
+// TestPostsOutstandingToTwoServers: one process posts to two servers
+// before awaiting either. Each reply lands on its own client; an Await
+// whose deadline passes first returns ErrTimeout, and the reply still
+// lands on that client for a later Await.
+func TestPostsOutstandingToTwoServers(t *testing.T) {
+	env := des.NewEnv()
+	cl := cluster.New(env, &model.Default, 3)
+	ms := []*rmem.Manager{rmem.NewManager(cl.Nodes[0]), rmem.NewManager(cl.Nodes[1])}
+	mc := rmem.NewManager(cl.Nodes[2])
+	slow := 30 * time.Millisecond
+	env.Spawn("run", func(p *des.Proc) {
+		var clis [2]*Client
+		var srvs [2]*Server
+		for i, m := range ms {
+			tag := []byte{'a' + byte(i), ':'}
+			delay := time.Duration(i) * slow
+			srvs[i] = NewServer(p, m, 3, 256, func(hp *des.Proc, src int, req []byte) []byte {
+				hp.Sleep(delay)
+				return append(append([]byte(nil), tag...), req...)
+			})
+			id, gen, size := srvs[i].ReqSeg()
+			clis[i] = NewClient(p, mc, i, id, gen, size, 256, 256)
+			cid, cgen, csize := clis[i].RepSeg()
+			srvs[i].AttachClient(p, 2, cid, cgen, csize)
+		}
+		for i, req := range []string{"x", "y"} {
+			if err := clis[i].Post(p, []byte(req)); err != nil {
+				t.Errorf("post %d: %v", i, err)
+				return
+			}
+		}
+		deadline := p.Now().Add(slow / 2)
+		r, err := clis[0].Await(p, deadline)
+		if err != nil || string(r) != "a:x" {
+			t.Errorf("fast server: %q %v, want \"a:x\"", r, err)
+			return
+		}
+		if srvs[1].Calls != 1 {
+			t.Errorf("slow server served %d calls while the fast reply was awaited, want 1 (both posts outstanding)", srvs[1].Calls)
+			return
+		}
+		if _, err := clis[1].Await(p, deadline); err != rmem.ErrTimeout {
+			t.Errorf("slow server before its reply: err = %v, want ErrTimeout", err)
+			return
+		}
+		if p.Now() <= deadline {
+			t.Errorf("Await timed out at %v, before its deadline %v", p.Now(), deadline)
+			return
+		}
+		r, err = clis[1].Await(p, 0)
+		if err != nil || string(r) != "b:y" {
+			t.Errorf("slow server: %q %v, want \"b:y\"", r, err)
+			return
+		}
+	})
+	if err := env.RunUntil(des.Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"netmem/internal/des"
+	"netmem/internal/hybrid"
 	"netmem/internal/rmem"
 )
 
@@ -58,6 +59,8 @@ type RWClient struct {
 	wm          map[int]uint64 // version floor (epoch<<32 | seq) stamped at read grant
 	pending     map[int]uint32 // recall marker awaiting its deposit-done write
 	recallSeq   uint32         // per-client recall marker sequence
+
+	posted []*hybrid.Client // a recall round's outstanding appeals, reused
 
 	// Stats.
 	ReadAcquires      int64 // read tokens granted (first acquisition)
@@ -241,22 +244,62 @@ func (c *RWClient) nodeBit() (uint32, error) {
 	return 1 << uint(c.m.Node.ID), nil
 }
 
-// appeal asks holder (a node id) to give up tok; wantWrite selects whether
-// the requester needs exclusivity (readers only yield then).
+// revokeReq encodes a revocation request; wantWrite selects whether the
+// requester needs exclusivity (readers only yield then).
+func revokeReq(tok int, wantWrite bool) [rwRevMsgLen]byte {
+	var req [rwRevMsgLen]byte
+	binary.BigEndian.PutUint32(req[:], uint32(tok))
+	if wantWrite {
+		req[4] = 1
+	}
+	return req
+}
+
+// appeal asks holder (a node id) to give up tok and waits for its answer.
 func (c *RWClient) appeal(p *des.Proc, holder, tok int, wantWrite bool) {
 	peer, ok := c.peers[holder]
 	if !ok || holder == c.m.Node.ID {
 		return
 	}
 	c.RevokesSent++
-	var req [rwRevMsgLen]byte
-	binary.BigEndian.PutUint32(req[:], uint32(tok))
-	if wantWrite {
-		req[4] = 1
-	}
+	req := revokeReq(tok, wantWrite)
 	// A failed appeal (lossy link, dead peer) is retried by the acquire
 	// loop; the error is not fatal here.
 	_, _ = peer.Call(p, req[:], time.Second)
+}
+
+// recallReaders is one round of a write recall: it posts an appeal to
+// every reader in w before awaiting any reply, then collects the replies
+// under one shared deadline, so the round costs one appeal latency rather
+// than one per reader. Each reader still clears its own bit by CAS; an
+// appeal that fails (lossy link, dead peer) is retried by the acquire
+// loop's next round.
+func (c *RWClient) recallReaders(p *des.Proc, w uint32, tok int) {
+	req := revokeReq(tok, true)
+	c.posted = c.posted[:0]
+	sent := 0
+	for n := 0; n < MaxRWNodes; n++ {
+		if w&(1<<uint(n)) == 0 || n == c.m.Node.ID {
+			continue
+		}
+		peer, ok := c.peers[n]
+		if !ok {
+			continue
+		}
+		c.RevokesSent++
+		sent++
+		if peer.Post(p, req[:]) == nil {
+			c.posted = append(c.posted, peer)
+		}
+	}
+	deadline := p.Now().Add(time.Second)
+	for _, peer := range c.posted {
+		_, _ = peer.Await(p, deadline)
+	}
+	if tr := c.m.Node.Env.Tracer(); tr != nil {
+		tr.Count("tokens.recall.rounds", 1)
+		tr.Count("tokens.recall.appeals", int64(sent))
+	}
 }
 
 // AcquireRead obtains a shared read token: one remote CAS setting our
@@ -308,7 +351,8 @@ func (c *RWClient) AcquireWrite(p *des.Proc, tok int, timeout des.Duration) erro
 		return err
 	}
 	me := writerBit | uint32(c.m.Node.ID+1)
-	deadline := p.Now().Add(timeout)
+	start := p.Now()
+	deadline := start.Add(timeout)
 	for {
 		w, err := c.readWord(p, tok)
 		if err != nil {
@@ -328,16 +372,15 @@ func (c *RWClient) AcquireWrite(p *des.Proc, tok int, timeout des.Duration) erro
 				// The CAS excluded readers at the home; the chain members
 				// must be recalled too before the grant is usable.
 				c.recallChain(p, tok)
+				if tr := c.m.Node.Env.Tracer(); tr != nil {
+					tr.Observe("tokens.write.wait", p.Now().Sub(start))
+				}
 				return nil
 			}
 		case w&writerBit != 0:
 			c.appeal(p, int(w&^writerBit)-1, tok, true)
 		default:
-			for n := 0; n < MaxRWNodes; n++ {
-				if w&(1<<uint(n)) != 0 && n != c.m.Node.ID {
-					c.appeal(p, n, tok, true)
-				}
-			}
+			c.recallReaders(p, w, tok)
 		}
 		if timeout > 0 && p.Now() > deadline {
 			return ErrTimeout

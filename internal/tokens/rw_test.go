@@ -1,12 +1,14 @@
 package tokens
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
 	"netmem/internal/cluster"
 	"netmem/internal/des"
 	"netmem/internal/model"
+	"netmem/internal/obs"
 	"netmem/internal/rmem"
 )
 
@@ -130,6 +132,77 @@ func TestRWWriteRecallsReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestWriteRecallIsOneRound: a writer recalling k readers posts every
+// appeal before awaiting any reply, so the recall costs about one appeal
+// latency, not k of them back to back. A one-reader recall of another
+// token is the yardstick for one appeal round.
+func TestWriteRecallIsOneRound(t *testing.T) {
+	const readers = 7
+	r := newRWRig(t, readers+1, 2)
+	tr := obs.New(obs.Config{})
+	r.env.SetTracer(tr)
+	invalidated := make([]int, readers+1)
+	var one, all time.Duration
+	r.run(t, func(p *des.Proc) {
+		w := r.clients[0]
+		for i := 1; i <= readers; i++ {
+			i := i
+			r.clients[i].OnInvalidate(func(p *des.Proc, tok int) {
+				if tok == 0 {
+					invalidated[i]++
+				}
+			})
+			if err := r.clients[i].AcquireRead(p, 0, time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.clients[1].AcquireRead(p, 1, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		start := p.Now()
+		if err := w.AcquireWrite(p, 1, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		one = p.Now().Sub(start)
+		sent := w.RevokesSent
+		start = p.Now()
+		if err := w.AcquireWrite(p, 0, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		all = p.Now().Sub(start)
+		if got := w.RevokesSent - sent; got != readers {
+			t.Fatalf("recall sent %d appeals, want %d", got, readers)
+		}
+	})
+	for i := 1; i <= readers; i++ {
+		if invalidated[i] != 1 {
+			t.Fatalf("reader %d invalidation callback ran %d times, want 1", i, invalidated[i])
+		}
+		if r.clients[i].HoldsRead(0) {
+			t.Fatalf("reader %d kept its token past the recall", i)
+		}
+	}
+	// The writer is node 1: the word carries writerBit | nodeID+1.
+	if got, want := binary.BigEndian.Uint32(r.table.seg.Bytes()), uint32(writerBit|2); got != want {
+		t.Fatalf("token word = %#x, want %#x", got, want)
+	}
+	// Seven appeals back to back would take about seven times the
+	// one-reader acquire; in one round they cost little more than it.
+	if all > 2*one {
+		t.Fatalf("%d-reader recall took %v, one-reader recall %v: the appeals did not overlap", readers, all, one)
+	}
+	snap := tr.Snapshot()
+	if got := snap.Counter("tokens.recall.rounds"); got != 2 {
+		t.Fatalf("tokens.recall.rounds = %d, want 2 (one per acquire)", got)
+	}
+	if got := snap.Counter("tokens.recall.appeals"); got != readers+1 {
+		t.Fatalf("tokens.recall.appeals = %d, want %d", got, readers+1)
+	}
+	if h, ok := snap.Hist("tokens.write.wait"); !ok || h.Count != 2 || h.Max != all {
+		t.Fatalf("tokens.write.wait = %+v, want 2 samples with max %v", h, all)
+	}
 }
 
 func TestRWDowngradeAndReaderReturn(t *testing.T) {
