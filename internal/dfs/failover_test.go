@@ -69,7 +69,7 @@ func TestOneMemberChainTakeover(t *testing.T) {
 		p.Sleep(10 * time.Millisecond)
 		b := srv.Geo.DataBucket(h, 0)
 		frame := cr.seg.Bytes()[ChainFrameOff(b):][:ChainFrameLen]
-		got, _, ok := ParseChainFrame(frame, h, 0, 0)
+		got, _, ok := ParseChainFrame(frame, h, 0, 0, fstore.BlockSize)
 		if flag, _, _, _ := getHdr(frame[12:]); !ok || flag != flagDirty || !bytes.Equal(got, payload) {
 			t.Errorf("dirty block never reached the chain member (frame ok %v, flag %d)", ok, flag)
 			return

@@ -24,9 +24,10 @@ import (
 )
 
 // Handler is the server-side service procedure: it receives the request
-// bytes and returns the reply bytes. It runs in the server's signal-handler
-// process; service CPU time is charged by the handler itself (the file
-// service charges its per-operation processing cost here).
+// bytes, valid only until it returns, and returns the reply bytes, which
+// the server copies. It runs in the server's signal-handler process;
+// service CPU time is charged by the handler itself (the file service
+// charges its per-operation processing cost here).
 type Handler func(p *des.Proc, src int, req []byte) []byte
 
 // slot layout (server request segment, one slot per client node):
@@ -50,6 +51,7 @@ type Server struct {
 	slotCap  int
 	clients  map[int]*rmem.Import // client node → imported reply segment
 	reliable bool
+	req, out []byte // request copy and reply frame, reused by every call
 
 	// Calls counts served requests.
 	Calls int64
@@ -103,7 +105,10 @@ func (s *Server) SetReliable(v bool) {
 func (s *Server) slotOff(node int) int { return node * (slotHeader + s.slotCap) }
 
 // serve is the notification (signal) handler: parse the client's slot,
-// run the procedure, push the reply back with data transfer only.
+// run the procedure, push the reply back with data transfer only. One
+// handler process serves the segment, so calls never overlap, and one
+// request copy and one reply frame serve every call: a Handler must not
+// keep req past its return, and the reply push copies what it sends.
 func (s *Server) serve(p *des.Proc, note rmem.Notification) {
 	src := note.Src
 	rep, ok := s.clients[src]
@@ -117,15 +122,14 @@ func (s *Server) serve(p *des.Proc, note rmem.Notification) {
 	if n < 0 || n > s.slotCap {
 		return
 	}
-	req := append([]byte(nil), buf[off+slotHeader:off+slotHeader+n]...)
+	s.req = append(s.req[:0], buf[off+slotHeader:off+slotHeader+n]...)
 	s.Calls++
-	result := s.handler(p, src, req)
+	result := s.handler(p, src, s.req)
 
-	out := make([]byte, slotHeader+len(result))
-	binary.BigEndian.PutUint32(out, seq) // completion flag = request seq
-	binary.BigEndian.PutUint32(out[4:], uint32(len(result)))
-	copy(out[slotHeader:], result)
-	if err := s.pushReply(p, rep, out); err != nil {
+	s.out = binary.BigEndian.AppendUint32(s.out[:0], seq) // completion flag = request seq
+	s.out = binary.BigEndian.AppendUint32(s.out, uint32(len(result)))
+	s.out = append(s.out, result...)
+	if err := s.pushReply(p, rep, s.out); err != nil {
 		s.m.WriteFaults = append(s.m.WriteFaults, fmt.Errorf("hybrid: reply to node %d: %w", src, err))
 	}
 }

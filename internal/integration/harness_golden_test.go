@@ -34,7 +34,7 @@ func TestHarnessGolden(t *testing.T) {
 		{"RunShardScale", func() (any, error) {
 			return workload.RunShardScale(workload.ShardScaleConfig{Shards: 2, ClientsPerShard: 2,
 				TokenCache: true, Window: 100 * time.Millisecond})
-		}, `{Mode:DX Shards:2 Clients:4 OpsDone:162 OpsPerSec:1620.027297459962 ShardUtil:[0.22027671166259152 0.12003702262383122] MeanUtil:0.17015686714321138 MeanLatMs:0.473829 P99Ms:2.842624 TokenHits:1 Events:34038}`},
+		}, `{Mode:DX Shards:2 Clients:4 OpsDone:171 OpsPerSec:1710.1498604322696 ShardUtil:[0.17113299638447318 0.093789218749239] MeanUtil:0.13246110756685608 MeanLatMs:0.350621 P99Ms:2.596864 TokenHits:1 Events:24752}`},
 		{"RunElastic", func() (any, error) {
 			res, err := workload.RunElastic(workload.ElasticConfig{StartShards: 2, PeakShards: 3,
 				Clients: 2, Hold: 40 * time.Millisecond, Seed: 1})
@@ -42,14 +42,14 @@ func TestHarnessGolden(t *testing.T) {
 				return nil, err
 			}
 			return *res, nil
-		}, `{Mode:DX TokenCache:true Keys:40 Steps:[{Target:2 CutoverMs:0 MigratedBuckets:0 EvictedBuckets:0 MovedKeys:0 IdealMoved:0 DonorUtil:0 DonorBase:0 Ops:188 Failed:0 P99Ms:2.514944 MeanUtil:0.40724292500000003} {Target:3 CutoverMs:12.551051000000001 MigratedBuckets:0 EvictedBuckets:17 MovedKeys:16 IdealMoved:13.333333333333334 DonorUtil:0.3015371382046014 DonorBase:0.40724292500000003 Ops:200 Failed:0 P99Ms:4.800512 MeanUtil:0.3315424333333334} {Target:2 CutoverMs:4.2182770000000005 MigratedBuckets:0 EvictedBuckets:5 MovedKeys:16 IdealMoved:13.333333333333334 DonorUtil:0.046559294233166765 DonorBase:0.6293448 Ops:224 Failed:0 P99Ms:4.636672 MeanUtil:0.4433469375}] TotalOps:612 TotalFailed:0 MaxP99Ms:4.800512 WorstDonorDelta:0 MovedWorstRatio:1.2 Cutovers:2 MigratedTotal:0 Strays:0 Repaired:0 Events:103043}`},
+		}, `{Mode:DX TokenCache:true Keys:40 Steps:[{Target:2 CutoverMs:0 MigratedBuckets:0 EvictedBuckets:0 MovedKeys:0 IdealMoved:0 DonorUtil:0 DonorBase:0 Ops:266 Failed:0 P99Ms:2.060288 MeanUtil:0.4068554625} {Target:3 CutoverMs:12.403868000000001 MigratedBuckets:0 EvictedBuckets:17 MovedKeys:16 IdealMoved:13.333333333333334 DonorUtil:0.2824285537382371 DonorBase:0.4068554625 Ops:250 Failed:0 P99Ms:4.120576 MeanUtil:0.3430781916666667} {Target:2 CutoverMs:4.653761 MigratedBuckets:0 EvictedBuckets:6 MovedKeys:16 IdealMoved:13.333333333333334 DonorUtil:0.32005081481408265 DonorBase:0.5865 Ops:216 Failed:0 P99Ms:4.866048 MeanUtil:0.4322681}] TotalOps:732 TotalFailed:0 MaxP99Ms:4.866048 WorstDonorDelta:0 MovedWorstRatio:1.2 Cutovers:2 MigratedTotal:0 Strays:0 Repaired:0 Events:92982}`},
 		{"RunReplicaScale", func() (any, error) {
 			pt, err := shard.RunReplicaScale(2, 2)
 			if err != nil {
 				return nil, err
 			}
 			return *pt, nil
-		}, `{Replicas:2 Readers:2 Window:100ms ReadBytes:786432 GoodputMBs:7.5 ReplicaReads:112 ReplicaFallbacks:0 PrimaryCPU:1.76496ms Occupancy:0.0176496 ReplicationCPU:7.5912ms WriterOps:5}`},
+		}, `{Replicas:2 Readers:2 Window:100ms ReadBytes:786432 GoodputMBs:7.5 ReplicaReads:112 ReplicaFallbacks:0 PrimaryCPU:1.76496ms Occupancy:0.0176496 ReplicationCPU:7.608ms WriterOps:5}`},
 		{"TokenRereadProbe", func() (any, error) { return shard.TokenRereadProbe(2) }, `{Shards:2 Bytes:12288 TokenHits:2 ServerCPU:0s RemoteReads:0}`},
 		{"ReplicaRereadProbe", func() (any, error) { return shard.ReplicaRereadProbe(2) }, `{Replicas:2 Bytes:12288 ReplicaReads:2 PrimaryCPU:0s PrimaryRemoteOps:0}`},
 		{"RunCASBench", func() (any, error) {

@@ -472,16 +472,16 @@ func (c *RWClient) ReleaseWrite(p *des.Proc, tok int) error {
 // revocation during certain conditions".
 func (c *RWClient) serveRevoke(p *des.Proc, src int, req []byte) []byte {
 	if len(req) < rwRevMsgLen {
-		return []byte{0}
+		return ansFailed
 	}
 	tok := int(binary.BigEndian.Uint32(req))
 	wantWrite := req[4] != 0
 	c.RevokesServed++
 	if c.write[tok] {
-		return []byte{2} // deferred until Downgrade/ReleaseWrite
+		return ansDeferred // deferred until Downgrade/ReleaseWrite
 	}
 	if !c.read[tok] || !wantWrite {
-		return []byte{1} // nothing to yield (readers coexist with readers)
+		return ansYielded // nothing to yield (readers coexist with readers)
 	}
 	if c.onInvalidate != nil {
 		c.onInvalidate(p, tok)
@@ -489,24 +489,24 @@ func (c *RWClient) serveRevoke(p *des.Proc, src int, req []byte) []byte {
 	c.Invalidations++
 	bit, err := c.nodeBit()
 	if err != nil {
-		return []byte{0}
+		return ansFailed
 	}
 	delete(c.read, tok)
 	delete(c.wm, tok)
 	for {
 		w, werr := c.readWord(p, tok)
 		if werr != nil {
-			return []byte{0}
+			return ansFailed
 		}
 		if w&bit == 0 {
-			return []byte{1}
+			return ansYielded
 		}
 		ok, cerr := c.table.CAS(p, c.word(tok), w, w&^bit, c.scratch, 0, time.Second)
 		if cerr != nil {
-			return []byte{0}
+			return ansFailed
 		}
 		if ok {
-			return []byte{1}
+			return ansYielded
 		}
 	}
 }

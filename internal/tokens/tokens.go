@@ -204,26 +204,35 @@ func (c *Client) Acquire(p *des.Proc, tok int, timeout des.Duration) error {
 	}
 }
 
+// A revocation answer is one byte: 0 failed, 1 released (or not held),
+// 2 deferred. The Hybrid-1 server copies the answer into its reply, so the
+// three are shared.
+var (
+	ansFailed   = []byte{0}
+	ansYielded  = []byte{1}
+	ansDeferred = []byte{2}
+)
+
 // serveRevoke handles a peer's plea for a token this node holds: release
 // immediately if the application is not actively using it, otherwise mark
 // it wanted — the §5.1 "delay revocation during certain conditions".
 func (c *Client) serveRevoke(p *des.Proc, src int, req []byte) []byte {
 	if len(req) < revMsgLen {
-		return []byte{0}
+		return ansFailed
 	}
 	tok := int(binary.BigEndian.Uint32(req))
 	c.RevokesServed++
 	h, ok := c.held[tok]
 	if !ok {
-		return []byte{1} // not holding it (already released)
+		return ansYielded // not holding it (already released)
 	}
 	if h.busy {
 		h.wanted = true
 		c.RevokesDelayed++
-		return []byte{2} // deferred; ask again or wait for the release
+		return ansDeferred // deferred; ask again or wait for the release
 	}
 	c.releaseWord(p, tok)
-	return []byte{1}
+	return ansYielded
 }
 
 // Pin marks a held token as in active use: revocation is deferred until
