@@ -130,3 +130,42 @@ func TestReadAheadRespectsEOF(t *testing.T) {
 		}
 	})
 }
+
+// TestWriteIntoPrefetchedBlock writes part of a block whose read-ahead is
+// still outstanding: the clerk's later read of that block must return its
+// own write, not the bytes the read-ahead fetched before it.
+func TestWriteIntoPrefetchedBlock(t *testing.T) {
+	r := newRig(t, 1, DX)
+	content := make([]byte, 3*fstore.BlockSize)
+	for i := range content {
+		content[i] = byte(i * 7)
+	}
+	h, err := r.server.Store.WriteFile("/seq/written", content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.server.WarmFile(h); err != nil {
+		t.Fatal(err)
+	}
+	r.run(t, func(p *des.Proc) {
+		c := r.clerks[0]
+		c.EnableReadAhead(p)
+		if _, err := c.Read(p, h, 0, fstore.BlockSize); err != nil {
+			t.Fatal(err)
+		}
+		if c.pf == nil || c.pf.bk != (blockKey{h, 1}) {
+			t.Fatal("reading block 0 did not start a read-ahead of block 1")
+		}
+		patch := bytes.Repeat([]byte{0xAB}, 512)
+		off := int64(fstore.BlockSize + 100)
+		if err := c.Write(p, h, off, patch); err != nil {
+			t.Fatal(err)
+		}
+		want := append([]byte(nil), content[fstore.BlockSize:2*fstore.BlockSize]...)
+		copy(want[100:], patch)
+		got, err := c.Read(p, h, fstore.BlockSize, fstore.BlockSize)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read after the write: %d bytes (err %v), not the written block", len(got), err)
+		}
+	})
+}

@@ -60,6 +60,10 @@ const flagEpoch byte = 0x10
 
 const kindMask byte = 0x0f
 
+// ReadReplyHdr is the framing a READ reply adds to the bytes it returns:
+// the kind byte, the request id and the status byte (RDREPLY above).
+const ReadReplyHdr = 1 + 4 + 1
+
 type wireMsg struct {
 	kind   byte
 	notify bool
